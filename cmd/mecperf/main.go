@@ -109,11 +109,11 @@ func run() error {
 	}
 
 	lpBuildTasks, lpSolveTasks, htaTasks, simTasks := 300, 90, 450, 450
-	methodTasks := []int{150, 300, 600}
+	clusterTasks := []int{150, 300, 600}
 	resolveTasks := []int{150, 300}
 	if *quick {
 		lpBuildTasks, lpSolveTasks, htaTasks, simTasks = 90, 30, 100, 100
-		methodTasks = []int{30, 90}
+		clusterTasks = []int{30, 90}
 		resolveTasks = []int{30, 90}
 	}
 
@@ -127,7 +127,6 @@ func run() error {
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Notes: []string{
 			"lp build/solve compare dense vs sparse constraint rows on identical instances",
-			"lp_solve method=dense/revised compare the tableau oracle against the LU-factorized revised simplex",
 			"lp_resolve start=cold rebuilds and cold-solves the mutated cluster; start=warm dual-simplex re-solves the same mutation from the previous optimal basis (see docs/ALGORITHMS.md)",
 			"lphta compares Parallelism=1 vs one worker per core on the same scenario; outputs are byte-identical",
 			"sim_engine shards=N rows replay the same assignment with an explicit event-heap shard count; outputs are byte-identical",
@@ -166,7 +165,7 @@ func run() error {
 		})
 	}
 
-	// LP solve: build + tableau lowering + simplex.
+	// LP solve: build + standard-form lowering + simplex.
 	for _, sparse := range []bool{false, true} {
 		form := map[bool]string{false: "dense", true: "sparse"}[sparse]
 		record(fmt.Sprintf("lp_solve/tasks=%d/%s", lpSolveTasks, form), func(b *testing.B) {
@@ -183,25 +182,22 @@ func run() error {
 		})
 	}
 
-	// LP solve by simplex implementation: the dense tableau oracle vs the
-	// LU-factorized revised simplex, on identical sparse-row instances.
-	for _, tasks := range methodTasks {
-		for _, method := range []lp.Method{lp.MethodDense, lp.MethodRevised} {
-			record(fmt.Sprintf("lp_solve/tasks=%d/method=%s", tasks, method), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := perfbench.ClusterLP(tasks, true)
-					p.Method = method
-					s, err := lp.Solve(p)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if s.Status != lp.Optimal {
-						b.Fatalf("status %v", s.Status)
-					}
+	// LP solve across cluster sizes on the sparse-row instances. The
+	// method=revised suffix is kept so these rows stay gated against the
+	// committed baseline.
+	for _, tasks := range clusterTasks {
+		record(fmt.Sprintf("lp_solve/tasks=%d/method=revised", tasks), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := lp.Solve(perfbench.ClusterLP(tasks, true))
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if s.Status != lp.Optimal {
+					b.Fatalf("status %v", s.Status)
+				}
+			}
+		})
 	}
 
 	// Incremental re-solve: the online service's steady state. start=cold
@@ -213,7 +209,6 @@ func run() error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p := perfbench.ClusterLP(tasks, true)
-				p.Method = lp.MethodRevised
 				p.Upper[0] *= 0.5
 				s, err := lp.Solve(p)
 				if err != nil {
@@ -422,8 +417,7 @@ func resolvePivots(tasks int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cold, err := lp.Solve(inc.Problem()) // Problem() pins MethodRevised
-
+	cold, err := lp.Solve(inc.Problem())
 	if err != nil {
 		return "", err
 	}
@@ -437,9 +431,11 @@ func resolvePivots(tasks int) (string, error) {
 }
 
 // compareBaseline checks the fresh results against a committed baseline.
-// Only benchmarks present in both documents are compared. allocs/op and
-// B/op are gated — they are deterministic, so a regression beyond the
-// tolerance is an error. ns/op is advisory: printed, never gating.
+// allocs/op and B/op are gated — they are deterministic, so a regression
+// beyond the tolerance is an error. ns/op is advisory: printed, never
+// gating. A baseline row the fresh run did not produce is an error too,
+// so deleting a benchmark cannot silently drop it from the gate; a fresh
+// row the baseline lacks is printed as advisory.
 func compareBaseline(doc *baseline, path string, tolerance float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -467,6 +463,7 @@ func compareBaseline(doc *baseline, path string, tolerance float64) error {
 				cur.Name, cur.NsPerOp, cur.BytesPerOp, cur.AllocsPerOp)
 			continue
 		}
+		delete(prev, cur.Name)
 		compared++
 		gate := func(metric string, curV, oldV int64) {
 			if oldV <= 0 {
@@ -489,11 +486,20 @@ func compareBaseline(doc *baseline, path string, tolerance float64) error {
 				cur.Name, old.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp/old.NsPerOp-1))
 		}
 	}
+	// What is left in prev are baseline rows this run never produced.
+	missing := 0
+	for _, old := range base.Benchmarks {
+		if _, ok := prev[old.Name]; ok {
+			missing++
+			fmt.Printf("  FAIL  %-42s in baseline, not produced by this run\n", old.Name)
+		}
+	}
 	if compared == 0 {
 		return fmt.Errorf("baseline %s shares no benchmark names with this run", path)
 	}
-	if violations > 0 {
-		return fmt.Errorf("%d perf regression(s) beyond %.0f%% tolerance", violations, 100*tolerance)
+	if violations > 0 || missing > 0 {
+		return fmt.Errorf("%d perf regression(s) beyond %.0f%% tolerance, %d baseline row(s) missing from this run",
+			violations, 100*tolerance, missing)
 	}
 	fmt.Printf("all %d shared benchmarks within tolerance", compared)
 	if added > 0 {

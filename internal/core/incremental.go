@@ -90,15 +90,10 @@ func (r *ClusterResult) Level(id task.ID) (costmodel.Subsystem, bool) {
 }
 
 // NewClusterState creates an empty warm solver for one station's cluster.
-// The dense LP method has no warm path, so LPMethod must resolve to the
-// revised simplex.
 func NewClusterState(m *costmodel.Model, station int, options *LPHTAOptions) (*ClusterState, error) {
 	opts, err := options.withDefaults()
 	if err != nil {
 		return nil, err
-	}
-	if opts.LPMethod == lp.MethodDense {
-		return nil, fmt.Errorf("core: incremental cluster state requires the revised simplex")
 	}
 	sys := m.System()
 	if station < 0 || station >= sys.NumStations() {
@@ -194,7 +189,6 @@ func (cs *ClusterState) attachLP(si int) {
 				lp.Sparse([]int{0}, []float64{slot.t.Resource}, lp.LE, sys.Devices[dev].ResourceCap),
 				lp.Sparse([]int{1}, []float64{slot.t.Resource}, lp.LE, sys.Stations[cs.station].ResourceCap),
 			},
-			Method: lp.MethodRevised,
 		}
 		inc, err := lp.NewIncremental(p)
 		if err != nil {

@@ -61,11 +61,6 @@ type LPHTAOptions struct {
 	// value records metrics to the process-wide obs registry (if any)
 	// and disables tracing.
 	Obs obs.Instruments
-	// LPMethod selects the simplex implementation used for the cluster
-	// relaxations (see lp.Method). The zero value lp.MethodAuto resolves
-	// to the package default, the revised simplex; lp.MethodDense selects
-	// the dense tableau reference implementation.
-	LPMethod lp.Method
 }
 
 func (o *LPHTAOptions) withDefaults() (LPHTAOptions, error) {
@@ -80,7 +75,6 @@ func (o *LPHTAOptions) withDefaults() (LPHTAOptions, error) {
 		out.Rand = o.Rand
 		out.Obs = o.Obs
 		out.Parallelism = o.Parallelism
-		out.LPMethod = o.LPMethod
 	}
 	if out.Rounding == RoundRandomized && out.Rand == nil {
 		return out, fmt.Errorf("core: randomized rounding requires a rand source")
@@ -325,7 +319,7 @@ func lphtaCluster(m *costmodel.Model, ts *task.Set, station int, tasks []int32, 
 	}
 
 	// Step 1: build and solve the relaxation P2.
-	frac, sol, err := solveClusterLP(sys, station, cts, opts.LPMethod, opts.Obs)
+	frac, sol, err := solveClusterLP(sys, station, cts, opts.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -534,13 +528,12 @@ func taskBounds(t *task.Task, o costmodel.Options) (bounds [3]float64, reach [3]
 // cluster size instead of O(rows × 3n).
 //
 // It returns the fractional assignment per task and the LP solution.
-func solveClusterLP(sys *mecnet.System, station int, cts []clusterTask, method lp.Method, ins obs.Instruments) ([][3]float64, *lp.Solution, error) {
+func solveClusterLP(sys *mecnet.System, station int, cts []clusterTask, ins obs.Instruments) ([][3]float64, *lp.Solution, error) {
 	buildTimer := obs.StartTimer()
 	nVars := 3 * len(cts)
 	p := &lp.Problem{
 		Minimize: make([]float64, nVars),
 		Upper:    make([]float64, nVars),
-		Method:   method,
 	}
 
 	// reachable marks variables whose subsystem can serve the task at all;

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dsmec/internal/costmodel"
-	"dsmec/internal/lp"
 	"dsmec/internal/obs"
 	"dsmec/internal/rng"
 	"dsmec/internal/task"
@@ -404,7 +403,7 @@ func TestLPHTAFallbackKeepsUnreachableBounds(t *testing.T) {
 		{t: simpleTask(0, 0, 500*units.Kilobyte, 2, 2*units.Second), opts: opts},
 		{t: simpleTask(0, 1, 500*units.Kilobyte, 2, 2*units.Second), opts: opts},
 	}
-	frac, _, err := solveClusterLP(sys, 0, cts, lp.MethodAuto, obs.Instruments{})
+	frac, _, err := solveClusterLP(sys, 0, cts, obs.Instruments{})
 	if err != nil {
 		t.Fatal(err)
 	}

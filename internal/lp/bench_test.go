@@ -10,7 +10,7 @@ import (
 
 // The build benchmarks isolate constraint-row construction — the memory
 // the sparse form is meant to save; the solve benchmarks cover the full
-// hot path (build + tableau lowering + simplex) on the same instance.
+// hot path (build + standard-form lowering + simplex) on the same instance.
 
 func benchBuild(b *testing.B, tasks int, sparse bool) {
 	b.ReportAllocs()
@@ -64,25 +64,21 @@ func BenchmarkLPSolveCluster(b *testing.B) {
 	}
 }
 
-// BenchmarkLPSolveMethod compares the two simplex implementations on the
-// same sparse-row instances mecperf records (at go-test-friendly sizes).
-func BenchmarkLPSolveMethod(b *testing.B) {
+// BenchmarkLPSolveClusterSizes solves the sparse-row instances mecperf
+// records as lp_solve/tasks=N/method=revised (at go-test-friendly sizes).
+func BenchmarkLPSolveClusterSizes(b *testing.B) {
 	for _, tasks := range []int{90, 300} {
-		for _, method := range []lp.Method{lp.MethodDense, lp.MethodRevised} {
-			b.Run(fmt.Sprintf("tasks=%d/method=%s", tasks, method), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := perfbench.ClusterLP(tasks, true)
-					p.Method = method
-					s, err := lp.Solve(p)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if s.Status != lp.Optimal {
-						b.Fatalf("status %v", s.Status)
-					}
+		b.Run(fmt.Sprintf("tasks=%d", tasks), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := lp.Solve(perfbench.ClusterLP(tasks, true))
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if s.Status != lp.Optimal {
+					b.Fatalf("status %v", s.Status)
+				}
+			}
+		})
 	}
 }

@@ -9,26 +9,19 @@ import (
 	"dsmec/internal/rng"
 )
 
-// crossSolve runs one problem through both simplex implementations and
-// enforces the method contract: identical status, objectives within
-// 1e-9 relative, and a feasible point from each. It returns both
-// solutions for test-specific checks.
+// crossSolve runs one problem through Solve (the revised simplex) and the
+// dense tableau oracle, and enforces their contract: identical status,
+// objectives within 1e-9 relative, and a feasible point from each. It
+// returns both solutions for test-specific checks.
 func crossSolve(t *testing.T, p *lp.Problem) (dense, revised *lp.Solution) {
 	t.Helper()
-	solve := func(m lp.Method) *lp.Solution {
-		q := *p
-		q.Method = m
-		s, err := lp.Solve(&q)
-		if err != nil {
-			t.Fatalf("%v solve: %v", m, err)
-		}
-		if s.Method != m {
-			t.Fatalf("Solution.Method = %v, want %v", s.Method, m)
-		}
-		return s
+	var err error
+	if dense, err = lp.SolveDense(p); err != nil {
+		t.Fatalf("dense solve: %v", err)
 	}
-	dense = solve(lp.MethodDense)
-	revised = solve(lp.MethodRevised)
+	if revised, err = lp.Solve(p); err != nil {
+		t.Fatalf("revised solve: %v", err)
+	}
 
 	if dense.Status != revised.Status {
 		t.Fatalf("status disagreement: dense=%v revised=%v", dense.Status, revised.Status)
@@ -78,9 +71,9 @@ func checkFeasiblePoint(t *testing.T, label string, p *lp.Problem, x []float64) 
 	}
 }
 
-// TestCrossCheckCorpus runs every fixed problem from the dense test suite
-// — plus degenerate, cycling, and tight-bound stress cases — through both
-// methods.
+// TestCrossCheckCorpus runs every fixed problem from the lp test suite —
+// plus degenerate, cycling, and tight-bound stress cases — through both
+// solvers.
 func TestCrossCheckCorpus(t *testing.T) {
 	inf := math.Inf(1)
 	cases := []struct {
@@ -194,8 +187,8 @@ func TestCrossCheckCorpus(t *testing.T) {
 			},
 		}},
 		// Zero-width bounds pin variables at 0 while they still appear in
-		// rows; the revised method must treat them exactly like the dense
-		// tableau does.
+		// rows; the revised simplex never prices them, the dense tableau
+		// does, and both must reach the same optimum.
 		{"tight zero bounds", &lp.Problem{
 			Minimize: []float64{-5, -1, -1},
 			Upper:    []float64{0, 1, 0},
@@ -237,8 +230,9 @@ func TestCrossCheckCorpus(t *testing.T) {
 }
 
 // TestCrossCheckClusterLPs runs the LP-HTA-shaped benchmark instances —
-// the exact problems BENCH_lphta.json measures — through both methods, in
-// both their sparse and dense row forms.
+// the exact problems BENCH_lphta.json measures — through both solvers, in
+// both their sparse and dense row forms, then again with some columns
+// pinned at zero.
 func TestCrossCheckClusterLPs(t *testing.T) {
 	for _, tasks := range []int{10, 30, 90, 150} {
 		for _, sparse := range []bool{false, true} {
@@ -250,9 +244,40 @@ func TestCrossCheckClusterLPs(t *testing.T) {
 			// The benchmark instances are the ones the perf gate watches, so
 			// also pin the stronger property: identical iterate-independent
 			// stats and near-identical pivot paths would be too brittle, but
-			// the revised method must report its factorization work.
+			// the revised simplex must report its factorization work.
 			if revised.Stats.Refactorizations == 0 && revised.Iterations > 2*refactorCheckLimit {
 				t.Errorf("tasks=%d: %d iterations with no refactorizations", tasks, revised.Iterations)
+			}
+		}
+	}
+
+	// Pin some station and cloud columns at zero, as solveClusterLP does
+	// for subsystems that can never serve a task. The revised simplex
+	// skips such columns in pricing while the dense oracle still prices
+	// them, so the two take different pivot paths; they must still agree
+	// on status and objective, and on the per-task argmax over each
+	// 3-column group, which is what LP-HTA's rounding reads.
+	for _, tasks := range []int{10, 30, 90, 150, 240} {
+		for _, seed := range []int64{1, 2, 3} {
+			p := perfbench.ClusterLP(tasks, true)
+			r := rng.NewSource(seed).Stream("pin")
+			for i := 0; i < tasks; i++ {
+				switch rng.UniformInt(r, 0, 3) {
+				case 0:
+					p.Upper[3*i+1] = 0 // station unreachable
+				case 1:
+					p.Upper[3*i+2] = 0 // cloud unreachable
+				}
+			}
+			dense, revised := crossSolve(t, p)
+			if dense.Status != lp.Optimal {
+				continue
+			}
+			for i := 0; i < tasks; i++ {
+				if d, v := argmax3(dense.X[3*i:]), argmax3(revised.X[3*i:]); d != v {
+					t.Errorf("pinned tasks=%d seed=%d task %d: dense argmax %d %v, revised %d %v",
+						tasks, seed, i, d, dense.X[3*i:3*i+3], v, revised.X[3*i:3*i+3])
+				}
 			}
 		}
 	}
@@ -262,7 +287,18 @@ func TestCrossCheckClusterLPs(t *testing.T) {
 // twice that long must have refactorized at least once.
 const refactorCheckLimit = 50
 
-// TestCrossCheckRandom fuzzes both methods against each other on small
+// argmax3 returns the index of the largest of x[0:3], first on ties.
+func argmax3(x []float64) int {
+	best := 0
+	for l := 1; l < 3; l++ {
+		if x[l] > x[best] {
+			best = l
+		}
+	}
+	return best
+}
+
+// TestCrossCheckRandom fuzzes both solvers against each other on small
 // random problems with mixed senses, signs, and bounds.
 func TestCrossCheckRandom(t *testing.T) {
 	r := rng.NewSource(4321).Stream("lp-crosscheck")
@@ -275,10 +311,13 @@ func TestCrossCheckRandom(t *testing.T) {
 		}
 		for j := 0; j < n; j++ {
 			p.Minimize[j] = rng.Uniform(r, -5, 5)
-			if rng.UniformInt(r, 0, 4) == 0 {
+			switch rng.UniformInt(r, 0, 4) {
+			case 0:
 				p.Upper[j] = math.Inf(1)
-			} else {
-				p.Upper[j] = rng.Uniform(r, 0, 5) // zero-width bounds included
+			case 1:
+				p.Upper[j] = 0 // zero-width: fixed columns the revised simplex skips
+			default:
+				p.Upper[j] = rng.Uniform(r, 0, 5)
 			}
 		}
 		for i := 0; i < m; i++ {
@@ -304,7 +343,7 @@ func TestCrossCheckRandom(t *testing.T) {
 }
 
 // TestCrossCheckStatsDiffer documents the observable difference between
-// the methods: only the revised simplex reports factorization work.
+// the solvers: only the revised simplex reports factorization work.
 func TestCrossCheckStatsDiffer(t *testing.T) {
 	p := perfbench.ClusterLP(90, true)
 	dense, revised := crossSolve(t, p)

@@ -37,9 +37,8 @@ var errWarmFallback = errors.New("lp: warm start abandoned")
 // callers that accumulate many dead columns can rebuild a compact
 // Incremental from live data at their own cadence.
 //
-// The solver is MethodRevised-only: warm starts are exactly the reuse
-// of its LU-factorized basis. Incremental is not safe for concurrent
-// use.
+// Warm starts are exactly the reuse of the revised simplex's
+// LU-factorized basis. Incremental is not safe for concurrent use.
 type Incremental struct {
 	minimize []float64
 	cons     []Constraint // all rows in sparse form
@@ -50,14 +49,10 @@ type Incremental struct {
 }
 
 // NewIncremental captures a deep copy of p as the starting problem. The
-// problem must validate and have at least one variable; p.Method, if
-// set, must be MethodAuto or MethodRevised.
+// problem must validate and have at least one variable.
 func NewIncremental(p *Problem) (*Incremental, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if m := p.Method.resolve(); m != MethodRevised {
-		return nil, fmt.Errorf("lp: incremental solves require MethodRevised, got %v", p.Method)
 	}
 	n := p.NumVars()
 	inc := &Incremental{
@@ -109,7 +104,6 @@ func (inc *Incremental) Problem() *Problem {
 		Minimize:    inc.minimize,
 		Constraints: inc.cons,
 		Upper:       inc.upper,
-		Method:      MethodRevised,
 	}
 }
 
@@ -251,7 +245,7 @@ func (inc *Incremental) SetRHS(i int, rhs float64) {
 // Resolve solves the current problem, warm when the previous solve left
 // a reusable optimal basis and cold otherwise. Warm solves are
 // cross-checkable: they produce the same status and (within 1e-9) the
-// same objective as a cold MethodRevised solve of Problem(). Metrics
+// same objective as a cold solve of Problem(). Metrics
 // and a trace span are recorded into ins.
 func (inc *Incremental) Resolve(ins obs.Instruments) (*Solution, error) {
 	span := ins.Span.Child("lp.resolve")
@@ -319,7 +313,6 @@ func (inc *Incremental) coldSolve(ins obs.Instruments, span *obs.Span) (*Solutio
 		inc.dropSolver()
 		return nil, err
 	}
-	sol.Method = MethodRevised
 	if sol.Status != Optimal {
 		inc.dropSolver()
 		return sol, nil
@@ -341,8 +334,6 @@ func (inc *Incremental) coldSolve(ins obs.Instruments, span *obs.Span) (*Solutio
 func (inc *Incremental) warmResolve(ins obs.Instruments, span *obs.Span) (*Solution, error) {
 	s := inc.s
 	s.log = ins.Logger()
-	s.skipFixed = true
-	defer func() { s.skipFixed = false }()
 	s.stats = SolveStats{}
 	s.iterations = 0
 	timer := obs.StartTimer()
@@ -400,7 +391,6 @@ func (inc *Incremental) warmResolve(ins obs.Instruments, span *obs.Span) (*Solut
 		X:          x,
 		Objective:  obj,
 		Iterations: s.iterations,
-		Method:     MethodRevised,
 		Warm:       true,
 		Stats:      s.stats,
 	}, nil

@@ -11,7 +11,7 @@ import (
 )
 
 // checkResolve runs one warm-capable Resolve and cross-checks it against
-// a cold MethodRevised solve of the same (current) problem: identical
+// a cold solve of the same (current) problem: identical
 // statuses, objectives within 1e-9 relative, and a feasible point. It
 // returns both solutions for test-specific checks.
 func checkResolve(t *testing.T, inc *lp.Incremental) (got, cold *lp.Solution) {
@@ -103,13 +103,6 @@ func TestIncrementalColdMatchesSolve(t *testing.T) {
 				t.Fatalf("second Resolve Warm = %v, want %v", again.Warm, wantWarm)
 			}
 		})
-	}
-}
-
-func TestIncrementalRequiresRevised(t *testing.T) {
-	p := &lp.Problem{Minimize: []float64{1}, Method: lp.MethodDense}
-	if _, err := lp.NewIncremental(p); err == nil {
-		t.Fatalf("NewIncremental accepted MethodDense")
 	}
 }
 
@@ -354,7 +347,7 @@ func TestIncrementalClusterMutationSequences(t *testing.T) {
 
 // TestIncrementalWarmPivotBudget pins the acceptance criterion: after a
 // single task arrival in a 300-task cluster, the warm re-solve must
-// finish in under 10% of the pivots a cold MethodRevised solve of the
+// finish in under 10% of the pivots a cold solve of the
 // same mutated problem needs (and match it exactly otherwise). The
 // 150-task case guards the smaller end.
 func TestIncrementalWarmPivotBudget(t *testing.T) {

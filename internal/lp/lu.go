@@ -6,8 +6,8 @@ import (
 )
 
 // luFactors is a sparse LU factorization of a basis matrix B, the kernel
-// of the revised simplex (MethodRevised). Columns of B are processed in a
-// static fill-reducing order (fewest nonzeros first) with partial
+// of the revised simplex. Columns of B are processed in a static
+// fill-reducing order (fewest nonzeros first) with partial
 // pivoting by magnitude, a left-looking Gilbert–Peierls-style scheme: the
 // dense accumulator makes each column elimination a cheap scan over the
 // pivots chosen so far, while L and U themselves stay sparse — LP-HTA

@@ -27,12 +27,12 @@ type etaVec struct {
 	val []float64
 }
 
-// rsimplex is the bounded-variable revised simplex (MethodRevised). It
-// keeps the constraint matrix in sparse column form and only the basis in
-// factorized form; iterations run BTRAN to price and FTRAN to pivot, so
-// the O(rows×cols) dense tableau is never materialized. Row/column
-// bookkeeping (status, basis, value) matches the dense tableau exactly —
-// position k here plays the role of tableau row k.
+// rsimplex is the bounded-variable revised simplex, the package's only
+// solver. It keeps the constraint matrix in sparse column form and only
+// the basis in factorized form; iterations run BTRAN to price and FTRAN
+// to pivot, so the O(rows×cols) dense tableau is never materialized.
+// Row/column bookkeeping (status, basis, value) matches the dense tableau
+// oracle in the tests — position k here plays the role of tableau row k.
 type rsimplex struct {
 	m, n     int // rows, total columns
 	nStruct  int // structural variable count
@@ -52,13 +52,6 @@ type rsimplex struct {
 	status []varStatus // per-column location
 	basis  []int       // basis[k] = column basic at position k
 	value  []float64   // value[k] = current value of basis[k]
-
-	// skipFixed, when set, excludes columns fixed at zero (upper bound 0)
-	// from pricing. A fixed column can never change the solution, but the
-	// cold path still prices it to stay iteration-for-iteration identical
-	// with the dense oracle; only the incremental warm path (which pins
-	// removed variables at zero instead of deleting them) sets this.
-	skipFixed bool
 
 	// colVar maps solver columns back to problem variables (-1 for
 	// slack/artificial columns). nil means the original prefix layout:
@@ -346,10 +339,11 @@ func (s *rsimplex) pivot(leave, enter int) error {
 // run iterates the bounded-variable revised simplex until optimality
 // (nil), unboundedness (errUnbounded), or the iteration limit. Columns
 // j < maxCol are priced (phase 1 allows everything, phase 2 stops at
-// artStart — allowed columns are always a prefix). The pricing, ratio
-// test, degeneracy escalation to Bland's rule, and tie-breaking
-// replicate the dense tableau's runSimplex exactly — only the linear
-// algebra behind the numbers differs.
+// artStart — allowed columns are always a prefix). Columns fixed at zero
+// (upper bound 0: unreachable subsystems, pinned artificials, variables
+// an incremental solve removed) can never change the solution, so
+// pricing skips them. The ratio test, degeneracy escalation to Bland's
+// rule, and tie-breaking match the dense tableau oracle in the tests.
 func (s *rsimplex) run(maxCol int) error {
 	limit := 2000 * (s.m + s.n + 1)
 	degenerate := 0
@@ -359,7 +353,7 @@ func (s *rsimplex) run(maxCol int) error {
 	// the inner dot product stays bounds-check free.
 	colPtr, colRow, colVal := s.colPtr, s.colRow, s.colVal
 	cost, status, y := s.cost, s.status, s.y
-	upper, skipFixed := s.upper, s.skipFixed
+	upper := s.upper
 
 	for iter := 0; iter < limit; iter++ {
 		s.btranCosts()
@@ -371,7 +365,7 @@ func (s *rsimplex) run(maxCol int) error {
 		if useBland {
 			for j := 0; j < maxCol; j++ {
 				st := status[j]
-				if st == basic || (skipFixed && upper[j] == 0) {
+				if st == basic || upper[j] == 0 {
 					continue
 				}
 				d := cost[j]
@@ -391,7 +385,7 @@ func (s *rsimplex) run(maxCol int) error {
 			best := eps
 			for j := 0; j < maxCol; j++ {
 				st := status[j]
-				if st == basic || (skipFixed && upper[j] == 0) {
+				if st == basic || upper[j] == 0 {
 					continue
 				}
 				d := cost[j]
@@ -514,7 +508,7 @@ func (s *rsimplex) run(maxCol int) error {
 }
 
 // solveRevised runs the two phases on the factorized basis and extracts
-// the solution, mirroring the dense tableau's solve. One structural
+// the solution, mirroring the dense tableau oracle's solve. One structural
 // difference: where the dense path drives leftover artificials out of the
 // basis and retires redundant rows, the revised path pins every
 // artificial at zero by clamping its upper bound — the basis must stay
@@ -549,7 +543,6 @@ func (s *rsimplex) solveFull(minimize []float64, span *obs.Span, log *obs.Logger
 		p1Span.End()
 		if log.Enabled(obs.LevelDebug) {
 			log.Debug("lp phase1 done",
-				"method", "revised",
 				"iterations", s.stats.Phase1Iterations,
 				"seconds", s.stats.Phase1Seconds,
 				"refactorizations", s.stats.Refactorizations)
@@ -584,7 +577,6 @@ func (s *rsimplex) solveFull(minimize []float64, span *obs.Span, log *obs.Logger
 	p2Span.End()
 	if log.Enabled(obs.LevelDebug) {
 		log.Debug("lp phase2 done",
-			"method", "revised",
 			"iterations", s.stats.Phase2Iterations,
 			"seconds", s.stats.Phase2Seconds,
 			"refactorizations", s.stats.Refactorizations)

@@ -22,8 +22,7 @@ func sparsify(c Constraint) Constraint {
 
 func TestSparseMatchesDense(t *testing.T) {
 	// Identical problems in dense and sparse form must solve to the same
-	// point bit-for-bit: scatter writes the same tableau rows the dense
-	// copy loop did.
+	// point bit-for-bit: both lower to the same sparse column matrix.
 	p := &Problem{
 		Minimize: []float64{1, 2, 3, 0.5},
 		Upper:    []float64{1, 1, 1, 1},

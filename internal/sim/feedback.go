@@ -23,13 +23,6 @@ type FeedbackOptions struct {
 	// relative to its real deadline (default 8: plan as if the deadline
 	// were up to 8x tighter).
 	MaxTightening float64
-	// Incremental replans rounds ≥ 1 through warm per-station cluster
-	// states (core.ClusterState) instead of rebuilding every cluster LP
-	// from scratch: each round pushes only the deadline changes since the
-	// previous round and re-solves only the clusters those changes
-	// touched, warm-starting from the previous optimal basis. Requires
-	// the revised LP method (the default).
-	Incremental bool
 	// Obs selects where metrics and trace spans are recorded; the
 	// planner and simulator stages inherit it per round.
 	Obs obs.Instruments
@@ -81,6 +74,13 @@ type FeedbackResult struct {
 // LP-HTA spread load away from contended resources (or cancel tasks it
 // cannot protect). The assignment with the fewest unsatisfied tasks
 // (simulated misses plus cancellations) wins; energy breaks ties.
+//
+// Rounds ≥ 1 replan through warm per-station cluster states
+// (core.ClusterState) rather than rebuilding every cluster LP: each round
+// pushes only the deadline changes since the previous round and re-solves
+// only the clusters those changes touched, warm-starting from the
+// previous optimal basis. The result equals running plain LP-HTA on the
+// deadline-tightened task set every round.
 func PlanWithFeedback(m *costmodel.Model, ts *task.Set, opts FeedbackOptions) (*FeedbackResult, error) {
 	opts = opts.withDefaults()
 
@@ -153,18 +153,15 @@ func PlanWithFeedback(m *costmodel.Model, ts *task.Set, opts FeedbackOptions) (*
 		tighten[i] = 1
 	}
 
-	var fc *feedbackClusters
-	if opts.Incremental {
-		lpOpts := opts.LPHTA
-		lpOpts.Obs.Span = span
-		if fc, err = newFeedbackClusters(m, ts, lpOpts); err != nil {
-			return nil, fmt.Errorf("sim: feedback incremental setup: %w", err)
-		}
+	lpOpts := opts.LPHTA
+	lpOpts.Obs.Span = span
+	fc, err := newFeedbackClusters(m, ts, lpOpts)
+	if err != nil {
+		return nil, fmt.Errorf("sim: feedback setup: %w", err)
 	}
 
 	for round := 1; round <= opts.Rounds; round++ {
 		roundSpan := span.Child(fmt.Sprintf("feedback.round%d", round))
-		opts.LPHTA.Obs.Span = roundSpan
 		opts.Sim.Obs.Span = roundSpan
 		// Update tightening from the latest simulation: a task that ran
 		// f times slower than planned needs an f-times tighter plan.
@@ -182,26 +179,9 @@ func PlanWithFeedback(m *costmodel.Model, ts *task.Set, opts FeedbackOptions) (*
 			}
 		}
 
-		var replanned *core.Assignment
-		if fc != nil {
-			if replanned, err = fc.replan(ts, tighten); err != nil {
-				return nil, fmt.Errorf("sim: feedback round %d: %w", round, err)
-			}
-		} else {
-			adjusted := &task.Set{}
-			adjusted.Grow(ts.Len())
-			for i := 0; i < ts.Len(); i++ {
-				copyT := *ts.At(i)
-				copyT.Deadline /= units.Duration(tighten[i])
-				if err := adjusted.Add(&copyT); err != nil {
-					return nil, fmt.Errorf("sim: feedback round %d: %w", round, err)
-				}
-			}
-			batch, err := core.LPHTA(m, adjusted, &opts.LPHTA)
-			if err != nil {
-				return nil, fmt.Errorf("sim: feedback round %d: %w", round, err)
-			}
-			replanned = batch.Assignment
+		replanned, err := fc.replan(ts, tighten)
+		if err != nil {
+			return nil, fmt.Errorf("sim: feedback round %d: %w", round, err)
 		}
 		simRes, err = record(replanned)
 		roundSpan.End()
