@@ -1,7 +1,7 @@
 # Development targets. `make verify` is the pre-commit gate: formatting,
 # vet, build, the full test suite under the race detector, a
 # single-iteration benchmark smoke run so the perf harness can't rot, the
-# meclint static-analysis suite (which includes the docs and links repo
+# meclint static-analysis suite (which includes the repolint doc and link
 # checks — see docs/LINTING.md), staticcheck when fetchable, a mecstat
 # smoke over its committed fixtures, and a mecd service smoke that boots
 # the daemon on a loopback port and drives one arrival/assign/departure
@@ -12,7 +12,7 @@ GO ?= go
 # Pinned so CI and local runs agree; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: verify build test vet fmt-check race bench bench-go bench-smoke bench-obs lint staticcheck mecstat-smoke mecd-smoke workload-checks
+.PHONY: verify build test vet fmt-check race bench bench-go bench-smoke bench-obs lint staticcheck doc-check link-check mecstat-smoke mecd-smoke workload-checks
 
 verify: fmt-check vet build race bench-smoke lint staticcheck mecstat-smoke mecd-smoke workload-checks
 
@@ -75,6 +75,14 @@ bench-go:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 	MEC_LARGE_SMOKE=1 $(GO) test -run TestLargeScenarioMemoryBudget ./internal/scenarioio/
+
+# Every internal/ package must keep its package comment in a doc.go.
+doc-check:
+	$(GO) run ./cmd/repolint -doc
+
+# Every relative markdown link in *.md and docs/*.md must resolve.
+link-check:
+	$(GO) run ./cmd/repolint -links
 
 # Observability overhead check: disabled vs metrics-enabled pipelines.
 # Every observability benchmark carries the BenchmarkObs prefix, so the

@@ -117,46 +117,6 @@ func TestExtractLinksMultiplePerLine(t *testing.T) {
 	}
 }
 
-func TestCheckLinksPasses(t *testing.T) {
-	root := scaffold(t, map[string]string{
-		"README.md": strings.Join([]string{
-			"[design](DESIGN.md) and [obs](docs/OBSERVABILITY.md#metrics)",
-			"[web](https://example.com) and [mail](mailto:x@example.com)",
-			"[frag](#section) stays internal",
-			"```",
-			"[broken-in-fence](nope.md)",
-			"```",
-			"and `[broken-in-code](missing.md)` spans",
-		}, "\n"),
-		"DESIGN.md":             "[back](README.md)\n",
-		"docs/OBSERVABILITY.md": "[up](../README.md)\n",
-	})
-	violations, err := CheckLinks(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) != 0 {
-		t.Errorf("clean links reported violations: %v", violations)
-	}
-}
-
-func TestCheckLinksBrokenLinks(t *testing.T) {
-	// Both broken links on the line are reported, each with its location.
-	root := scaffold(t, map[string]string{
-		"README.md": "see [gone](docs/GONE.md) [b](B.md)\nand [fine](OK.md)\n",
-		"OK.md":     "ok\n",
-	})
-	violations, err := CheckLinks(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(violations, "\n")
-	if len(violations) != 2 || !strings.Contains(joined, "README.md:1") ||
-		!strings.Contains(joined, "docs/GONE.md") || !strings.Contains(joined, "B.md") {
-		t.Errorf("violations = %v, want docs/GONE.md and B.md at README.md:1", violations)
-	}
-}
-
 func TestCheckLinksAnchorsResolveAgainstFile(t *testing.T) {
 	root := scaffold(t, map[string]string{
 		"README.md": "[ok](DESIGN.md#sec) [frag](#here) [broken](GONE.md#sec)\n",
