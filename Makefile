@@ -3,18 +3,18 @@
 # single-iteration benchmark smoke run so the perf harness can't rot, the
 # meclint static-analysis suite (which includes the repolint doc and link
 # checks — see docs/LINTING.md), staticcheck when fetchable, a mecstat
-# smoke over its committed fixtures, and a mecd service smoke that boots
+# smoke over its committed fixtures, a mecd service smoke that boots
 # the daemon on a loopback port and drives one arrival/assign/departure
-# cycle through the live HTTP API.
+# cycle through the live HTTP API, and the benchmark harness self-tests.
 
 GO ?= go
 
 # Pinned so CI and local runs agree; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: verify build test vet fmt-check race bench bench-go bench-smoke bench-obs lint staticcheck doc-check link-check mecstat-smoke mecd-smoke workload-checks
+.PHONY: verify build test vet fmt-check race bench bench-go bench-smoke bench-obs lint staticcheck doc-check link-check mecstat-smoke mecd-smoke workload-checks bench-selftest
 
-verify: fmt-check vet build race bench-smoke lint staticcheck mecstat-smoke mecd-smoke workload-checks
+verify: fmt-check vet build race bench-smoke lint staticcheck mecstat-smoke mecd-smoke workload-checks bench-selftest
 
 # The full go vet analyzer set, spelled out so the suite only changes
 # when this list does — a toolchain upgrade cannot silently drop a check.
@@ -108,3 +108,9 @@ mecstat-smoke:
 # (see docs/SERVICE.md). -selfcheck picks a random loopback port.
 mecd-smoke:
 	$(GO) run ./cmd/mecd -selfcheck -preload 25 -log-level off > /dev/null
+
+# The benchmark harness (benchmark/, see BENCHMARK.json) is its own module,
+# outside `go build ./...`; its self-tests are what catch a core or lp API
+# change that breaks it.
+bench-selftest:
+	cd benchmark && $(GO) test ./...

@@ -302,7 +302,21 @@ func TestStateAndHealth(t *testing.T) {
 	if st.Tasks != sc.Tasks.Len() || st.Stations != 2 || st.Devices != 10 {
 		t.Errorf("state = %+v, want %d tasks over 2 stations, 10 devices", st, sc.Tasks.Len())
 	}
-	_ = getBody(t, hs.URL+"/v1/assignments")
+	// No shard holds a basis before its first solve, and every shard
+	// holds one after an optimal solve.
+	for _, sh := range st.Shards {
+		if sh.Warm {
+			t.Errorf("station %d warm before any solve", sh.Station)
+		}
+	}
+	resp, err := http.Post(hs.URL+"/v1/solve", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/solve: status %d", resp.StatusCode)
+	}
 	var after stateDoc
 	if err := json.Unmarshal(getBody(t, hs.URL+"/v1/state"), &after); err != nil {
 		t.Fatal(err)
@@ -310,6 +324,9 @@ func TestStateAndHealth(t *testing.T) {
 	for _, sh := range after.Shards {
 		if sh.Dirty {
 			t.Errorf("station %d still dirty after a solve", sh.Station)
+		}
+		if !sh.Warm {
+			t.Errorf("station %d not warm after an optimal solve", sh.Station)
 		}
 	}
 }
@@ -336,6 +353,22 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	// Bodies over the cap are refused whole, on both document routes,
+	// even when a valid document follows the padding.
+	padding := strings.Repeat(" ", maxBodyBytes)
+	for _, route := range []struct{ path, doc string }{
+		{"/v1/tasks", `{"user":0,"index":1,"op_bytes":1000,"resource":1,"deadline_s":1}`},
+		{"/v1/devices", `{"id":0}`},
+	} {
+		resp, err := http.Post(hs.URL+route.path, "application/json", strings.NewReader(padding+route.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized %s body: status %d, want %d", route.path, resp.StatusCode, http.StatusRequestEntityTooLarge)
 		}
 	}
 	// Duplicate arrival conflicts.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"dsmec/internal/core"
 	"dsmec/internal/costmodel"
 	"dsmec/internal/obs"
+	"dsmec/internal/pool"
 	"dsmec/internal/task"
 	"dsmec/internal/units"
 )
@@ -123,6 +125,29 @@ type errorDoc struct {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorDoc{Error: fmt.Sprintf(format, args...)})
+}
+
+// maxBodyBytes caps a request body. Task and device documents are a few
+// hundred bytes; the cap keeps an oversized body from being buffered.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields and
+// bodies over maxBodyBytes. On failure it writes the error response (413
+// for an oversized body, 400 otherwise) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "%s document exceeds %d bytes", what, maxBodyBytes)
+	default:
+		writeError(w, http.StatusBadRequest, "bad %s document: %v", what, err)
+	}
+	return false
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -240,10 +265,7 @@ type arrivalDoc struct {
 
 func (s *server) handleTaskArrival(w http.ResponseWriter, r *http.Request) {
 	var td taskDoc
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&td); err != nil {
-		writeError(w, http.StatusBadRequest, "bad task document: %v", err)
+	if !decodeBody(w, r, "task", &td) {
 		return
 	}
 	t := td.toTask()
@@ -326,10 +348,7 @@ type deviceDoc struct {
 
 func (s *server) handleDeviceJoin(w http.ResponseWriter, r *http.Request) {
 	var dd deviceDoc
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&dd); err != nil {
-		writeError(w, http.StatusBadRequest, "bad device document: %v", err)
+	if !decodeBody(w, r, "device", &dd) {
 		return
 	}
 	if _, err := s.m.System().StationOf(dd.ID); err != nil {
@@ -392,9 +411,9 @@ func (s *server) handleDeviceLeave(w http.ResponseWriter, r *http.Request) {
 }
 
 // solveDirty re-solves every dirty shard over a bounded worker pool and
-// returns the first error. Shard results land in shard.res under the shard
-// mutex; merge order is always station order, so downstream output does
-// not depend on the worker count.
+// returns the shards' errors joined in station order. Shard results land
+// in shard.res under the shard mutex; merge order is always station order,
+// so downstream output does not depend on the worker count.
 func (s *server) solveDirty() error {
 	timer := obs.StartTimer()
 	var pending []*shard
@@ -407,33 +426,9 @@ func (s *server) solveDirty() error {
 		}
 	}
 	// All dirty shards are now locked: arrivals wait while we solve.
-	workers := s.workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	errs := make([]error, len(pending))
-	if workers <= 1 {
-		for i, sh := range pending {
-			errs[i] = sh.solveLocked()
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					errs[i] = pending[i].solveLocked()
-				}
-			}()
-		}
-		for i := range pending {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	err := pool.ForEach(len(pending), s.workers, func(i int) error {
+		return pending[i].solveLocked()
+	})
 	for _, sh := range pending {
 		sh.mu.Unlock()
 	}
@@ -442,12 +437,7 @@ func (s *server) solveDirty() error {
 		s.reg.Counter("mecd.solved_shards").Add(int64(len(pending)))
 		s.reg.Histogram("mecd.solve_seconds", obs.TimeBuckets).Observe(timer.Seconds())
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 func (sh *shard) solveLocked() error {

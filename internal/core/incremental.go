@@ -13,40 +13,45 @@ import (
 // accepts task arrivals, departures, and deadline changes between solves and
 // re-solves the cluster relaxation incrementally via lp.Incremental: the
 // previous optimal basis is reused and repaired by a short dual-simplex
-// phase instead of being rebuilt from scratch. Rounding and repair (Steps
-// 2–6) run through the same roundAndRepair code as the batch LPHTA, so a
-// ClusterState holding the same tasks as a batch run produces the same
-// assignment.
+// phase instead of being rebuilt from scratch. A solve with no basis to
+// reuse builds P2 with the batch builder and solves it cold, exactly as
+// batch LPHTA does. Rounding and repair (Steps 2–6) run through the same
+// roundAndRepair code as the batch LPHTA, so a ClusterState holding the
+// same tasks as a batch run produces the same assignment.
 //
 // Departed tasks keep their (pinned, inert) LP columns until enough garbage
-// accumulates, at which point the state compacts itself with one cold
-// rebuild. ClusterState is not safe for concurrent use; callers shard by
-// station and lock per shard.
+// accumulates, at which point the state compacts itself and the next solve
+// rebuilds P2 cold. ClusterState is not safe for concurrent use; callers
+// shard by station and lock per shard.
 type ClusterState struct {
 	m       *costmodel.Model
 	station int
 	opts    LPHTAOptions
 
+	// inc holds P2 and the basis of the last optimal solve. It is nil
+	// until the first Solve, after a compaction, and after a solve that
+	// left no basis for the true bounds; the next Solve then builds P2
+	// afresh.
 	inc        *lp.Incremental
 	slots      []clusterSlot
 	slotOf     map[task.ID]int
-	deviceRow  map[int]int // device id -> C2 row index
-	stationRow int         // C3 row index, -1 until the LP exists
-	lpTasks    int         // live slots holding LP columns
-	dead       int         // removed slots still holding pinned columns
+	deviceRow  map[int]int // device id -> C2 row index, while inc exists
+	stationRow int         // C3 row index, while inc exists
+	live       int         // present, uncancelled tasks: the ones P2 holds
+	dead       int         // removed slots not yet compacted away
 }
 
 // clusterSlot tracks one task ever added to the cluster. The task is stored
 // by value: callers may keep their copy in a growing arena whose backing
 // array moves.
 type clusterSlot struct {
-	t      task.Task
-	opts   costmodel.Options
-	bounds [3]float64
-	reach  [3]bool
-	vars   [3]int
-	c4     int
-	hasLP  bool
+	t    task.Task
+	opts costmodel.Options
+	// hasLP marks a slot whose columns are live in inc: vars are its
+	// device, station and cloud variables and c4 its convexity row.
+	hasLP bool
+	vars  [3]int
+	c4    int
 	// cancelled marks a task no subsystem can serve within its deadline;
 	// it mirrors the batch pre-cancellation and keeps the task out of the
 	// LP (its columns, if any, are pinned to zero).
@@ -100,12 +105,11 @@ func NewClusterState(m *costmodel.Model, station int, options *LPHTAOptions) (*C
 		return nil, fmt.Errorf("core: station %d out of range", station)
 	}
 	return &ClusterState{
-		m:          m,
-		station:    station,
-		opts:       opts,
-		slotOf:     make(map[task.ID]int),
-		deviceRow:  make(map[int]int),
-		stationRow: -1,
+		m:         m,
+		station:   station,
+		opts:      opts,
+		slotOf:    make(map[task.ID]int),
+		deviceRow: make(map[int]int),
 	}, nil
 }
 
@@ -116,7 +120,9 @@ func (cs *ClusterState) Station() int { return cs.station }
 // cancelled ones.
 func (cs *ClusterState) Len() int { return len(cs.slots) - cs.dead }
 
-// Warm reports whether the next Solve can start from a previous basis.
+// Warm reports whether the next Solve can start from a previous basis. It
+// is false before the first Solve, after a compaction, and after a solve
+// that ended without an optimal basis for the true bounds.
 func (cs *ClusterState) Warm() bool { return cs.inc != nil }
 
 // TaskIDs returns the IDs of every present (non-removed) task in arrival
@@ -133,8 +139,10 @@ func (cs *ClusterState) TaskIDs() []task.ID {
 
 // AddTask admits one arriving task into the cluster. Tasks no subsystem can
 // serve within their deadline are cancelled immediately, mirroring the
-// batch pre-cancellation; everything else gets three LP columns and a C4
-// convexity row (plus a C2 capacity row the first time its device appears).
+// batch pre-cancellation. Everything else joins P2: while the state is warm
+// the task gets three LP columns and a C4 convexity row at once (plus a C2
+// capacity row the first time its device appears); otherwise the next
+// Solve builds it in.
 func (cs *ClusterState) AddTask(t task.Task) error {
 	if _, ok := cs.slotOf[t.ID]; ok {
 		return fmt.Errorf("core: task %v already present", t.ID)
@@ -147,7 +155,7 @@ func (cs *ClusterState) AddTask(t task.Task) error {
 		return fmt.Errorf("core: task %v belongs to station %d, not %d", t.ID, st, cs.station)
 	}
 	si := len(cs.slots)
-	cs.slots = append(cs.slots, clusterSlot{t: t, c4: -1, vars: [3]int{-1, -1, -1}})
+	cs.slots = append(cs.slots, clusterSlot{t: t})
 	slot := &cs.slots[si]
 	slot.opts, err = cs.m.Eval(&slot.t)
 	if err != nil {
@@ -160,65 +168,54 @@ func (cs *ClusterState) AddTask(t task.Task) error {
 		cs.opts.Obs.Counter("lphta.pre_cancelled").Inc()
 		return nil
 	}
-	cs.attachLP(si)
+	cs.join(si)
 	return nil
 }
 
-// attachLP gives slot si its three columns and C4 row (and the C2 row for a
-// device seen for the first time). The first attached task builds the
-// initial one-task problem; later tasks append to the live solver.
-func (cs *ClusterState) attachLP(si int) {
-	sys := cs.m.System()
-	slot := &cs.slots[si]
-	slot.bounds, slot.reach = taskBounds(&slot.t, slot.opts)
-	dev := slot.t.ID.User
-	cost := [3]float64{}
-	for li, l := range costmodel.Subsystems {
-		cost[li] = float64(slot.opts.At(l).Energy)
-	}
-
+// join counts slot si into P2, appending its columns and C4 row (and the
+// C2 row for a device seen for the first time) to a warm state.
+func (cs *ClusterState) join(si int) {
+	cs.live++
 	if cs.inc == nil {
-		// Initial problem: rows [C4, device, station], variables
-		// [device, station, cloud] — the same shape solveClusterLP builds
-		// for a one-task cluster.
-		p := &lp.Problem{
-			Minimize: cost[:],
-			Upper:    slot.bounds[:],
-			Constraints: []lp.Constraint{
-				lp.Sparse([]int{0, 1, 2}, []float64{1, 1, 1}, lp.EQ, 1),
-				lp.Sparse([]int{0}, []float64{slot.t.Resource}, lp.LE, sys.Devices[dev].ResourceCap),
-				lp.Sparse([]int{1}, []float64{slot.t.Resource}, lp.LE, sys.Stations[cs.station].ResourceCap),
-			},
-		}
-		inc, err := lp.NewIncremental(p)
-		if err != nil {
-			// The built problem is valid by construction.
-			panic(fmt.Sprintf("core: initial cluster problem rejected: %v", err))
-		}
-		cs.inc = inc
-		slot.c4 = 0
-		cs.deviceRow[dev] = 1
-		cs.stationRow = 2
-		slot.vars = [3]int{0, 1, 2}
-	} else {
-		slot.c4 = cs.inc.AddRow(lp.EQ, 1)
-		dr, ok := cs.deviceRow[dev]
-		if !ok {
-			dr = cs.inc.AddRow(lp.LE, sys.Devices[dev].ResourceCap)
-			cs.deviceRow[dev] = dr
-		}
-		r := slot.t.Resource
-		slot.vars[0] = cs.inc.AddVariable(cost[0], slot.bounds[0], []int{slot.c4, dr}, []float64{1, r})
-		slot.vars[1] = cs.inc.AddVariable(cost[1], slot.bounds[1], []int{slot.c4, cs.stationRow}, []float64{1, r})
-		slot.vars[2] = cs.inc.AddVariable(cost[2], slot.bounds[2], []int{slot.c4}, []float64{1})
+		return
+	}
+	slot := &cs.slots[si]
+	dev := slot.t.ID.User
+	slot.c4 = cs.inc.AddRow(lp.EQ, 1)
+	dr, ok := cs.deviceRow[dev]
+	if !ok {
+		dr = cs.inc.AddRow(lp.LE, cs.m.System().Devices[dev].ResourceCap)
+		cs.deviceRow[dev] = dr
+	}
+	// Device columns enter the C4 and C2 rows, station columns the C4 and
+	// C3 rows, cloud columns the C4 row only.
+	r := slot.t.Resource
+	rows := [3][]int{{slot.c4, dr}, {slot.c4, cs.stationRow}, {slot.c4}}
+	vals := [3][]float64{{1, r}, {1, r}, {1}}
+	bounds := taskBounds(&slot.t, slot.opts)
+	for li, l := range costmodel.Subsystems {
+		slot.vars[li] = cs.inc.AddVariable(float64(slot.opts.At(l).Energy), bounds[li], rows[li], vals[li])
 	}
 	slot.hasLP = true
-	cs.lpTasks++
+}
+
+// leave counts slot out of P2, pinning its columns and zeroing its
+// convexity row in a warm state, which leaves inert structure behind.
+func (cs *ClusterState) leave(slot *clusterSlot) {
+	cs.live--
+	if !slot.hasLP {
+		return
+	}
+	for _, v := range slot.vars {
+		cs.inc.SetUpper(v, 0)
+	}
+	cs.inc.SetRHS(slot.c4, 0)
+	slot.hasLP = false
 }
 
 // RemoveTask retires a departed (or completed) task. Its LP columns are
 // pinned to zero and its convexity row relaxed to Σx = 0, which keeps the
-// basis warm; the state compacts once pinned garbage outweighs live tasks.
+// basis warm; the state compacts once departed tasks outnumber live ones.
 func (cs *ClusterState) RemoveTask(id task.ID) error {
 	si, ok := cs.slotOf[id]
 	if !ok || cs.slots[si].removed {
@@ -226,23 +223,12 @@ func (cs *ClusterState) RemoveTask(id task.ID) error {
 	}
 	slot := &cs.slots[si]
 	slot.removed = true
-	if slot.hasLP {
-		cs.detachLP(slot)
+	if !slot.cancelled {
+		cs.leave(slot)
 	}
 	cs.dead++
 	cs.maybeCompact()
 	return nil
-}
-
-// detachLP pins slot's columns and zeroes its convexity row, leaving inert
-// structure behind.
-func (cs *ClusterState) detachLP(slot *clusterSlot) {
-	for _, v := range slot.vars {
-		cs.inc.SetUpper(v, 0)
-	}
-	cs.inc.SetRHS(slot.c4, 0)
-	slot.hasLP = false
-	cs.lpTasks--
 }
 
 // SetDeadline changes one task's deadline and refreshes its deadline-derived
@@ -256,34 +242,28 @@ func (cs *ClusterState) SetDeadline(id task.ID, deadline units.Duration) error {
 	}
 	slot := &cs.slots[si]
 	slot.t.Deadline = deadline
-	if !feasibleAnywhere(&slot.t, slot.opts) {
-		if !slot.cancelled {
-			slot.cancelled = true
-			cs.opts.Obs.Counter("lphta.pre_cancelled").Inc()
-			if slot.hasLP {
-				cs.detachLP(slot)
-			}
-		}
-		return nil
-	}
-	if slot.cancelled {
+	switch feasible := feasibleAnywhere(&slot.t, slot.opts); {
+	case !feasible && !slot.cancelled:
+		slot.cancelled = true
+		cs.opts.Obs.Counter("lphta.pre_cancelled").Inc()
+		cs.leave(slot)
+	case feasible && slot.cancelled:
 		slot.cancelled = false
-	}
-	if !slot.hasLP {
-		cs.attachLP(si)
-		return nil
-	}
-	slot.bounds, slot.reach = taskBounds(&slot.t, slot.opts)
-	for li, v := range slot.vars {
-		cs.inc.SetUpper(v, slot.bounds[li])
+		cs.join(si)
+	case feasible && slot.hasLP:
+		bounds := taskBounds(&slot.t, slot.opts)
+		for li, v := range slot.vars {
+			cs.inc.SetUpper(v, bounds[li])
+		}
 	}
 	return nil
 }
 
-// maybeCompact rebuilds the state cold once pinned departed columns
-// outnumber live tasks (and there are enough of them to matter).
+// maybeCompact drops departed slots and the LP once they outnumber live
+// tasks (and there are enough of them to matter); the next Solve rebuilds
+// P2 cold from the survivors.
 func (cs *ClusterState) maybeCompact() {
-	if cs.dead <= 16 || cs.dead <= cs.lpTasks {
+	if cs.dead <= 16 || cs.dead <= cs.live {
 		return
 	}
 	cs.opts.Obs.Counter("lphta.inc.compactions").Inc()
@@ -295,32 +275,52 @@ func (cs *ClusterState) maybeCompact() {
 	}
 	cs.slots = kept
 	cs.slotOf = make(map[task.ID]int, len(kept))
-	cs.deviceRow = make(map[int]int)
-	cs.stationRow = -1
-	cs.inc = nil
-	cs.lpTasks = 0
-	cs.dead = 0
 	for si := range cs.slots {
-		slot := &cs.slots[si]
-		cs.slotOf[slot.t.ID] = si
-		slot.hasLP = false
-		slot.c4 = -1
-		slot.vars = [3]int{-1, -1, -1}
-		if !slot.cancelled {
-			cs.attachLP(si)
-		}
+		cs.slotOf[cs.slots[si].t.ID] = si
 	}
+	cs.dead = 0
+	cs.dropLP()
+}
+
+// dropLP discards P2 and its basis; the next Solve rebuilds both.
+func (cs *ClusterState) dropLP() {
+	cs.inc = nil
+	for si := range cs.slots {
+		cs.slots[si].hasLP = false
+	}
+}
+
+// buildLP builds P2 over the live tasks with the batch builder and seats
+// it in a fresh lp.Incremental. sis maps each of cts to its slot.
+func (cs *ClusterState) buildLP(cts []clusterTask, sis []int) error {
+	p, devices := buildP2(cs.m.System(), cs.station, cts, cs.opts.Obs)
+	inc, err := lp.NewIncremental(p)
+	if err != nil {
+		return err
+	}
+	cs.inc = inc
+	clear(cs.deviceRow)
+	for k, dev := range devices {
+		cs.deviceRow[dev] = len(cts) + k
+	}
+	cs.stationRow = len(cts) + len(devices)
+	for i, si := range sis {
+		slot := &cs.slots[si]
+		slot.c4 = i
+		slot.vars = [3]int{3 * i, 3*i + 1, 3*i + 2}
+		slot.hasLP = true
+	}
+	return nil
 }
 
 // Solve re-solves the cluster (warm when possible) and runs rounding and
 // repair, returning the cluster's assignment and Theorem 2 quantities. The
-// batch infeasibility fallback is preserved: if deadline bounds and caps
-// conflict, the deadline-derived bounds are relaxed for this solve only and
-// restored afterwards.
+// batch infeasibility fallback applies unchanged; a solve that needed it
+// leaves no basis for the true bounds, so the next Solve starts cold.
 func (cs *ClusterState) Solve() (*ClusterResult, error) {
 	res := &ClusterResult{}
-	cts := make([]clusterTask, 0, cs.lpTasks)
-	sis := make([]int, 0, cs.lpTasks)
+	cts := make([]clusterTask, 0, cs.live)
+	sis := make([]int, 0, cs.live)
 	for si := range cs.slots {
 		slot := &cs.slots[si]
 		if slot.removed {
@@ -336,9 +336,19 @@ func (cs *ClusterState) Solve() (*ClusterResult, error) {
 	level := make(map[int]costmodel.Subsystem, len(cts))
 
 	if len(cts) > 0 {
-		sol, err := cs.resolve(sis)
+		if cs.inc == nil {
+			if err := cs.buildLP(cts, sis); err != nil {
+				return nil, fmt.Errorf("core: cluster %d: %w", cs.station, err)
+			}
+		}
+		sol, lifted, err := solveP2(cs.station, cts, cs.opts.Obs,
+			func() (*lp.Solution, error) { return cs.inc.Resolve(cs.opts.Obs) },
+			func(i, li int) { cs.inc.SetUpper(cs.slots[sis[i]].vars[li], 1) })
+		if err != nil || lifted {
+			cs.dropLP()
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: cluster %d: %w", cs.station, err)
 		}
 		frac := make([][3]float64, len(cts))
 		for k, si := range sis {
@@ -376,46 +386,4 @@ func (cs *ClusterState) Solve() (*ClusterResult, error) {
 		res.Placements = append(res.Placements, ClusterPlacement{ID: slot.t.ID, Level: l})
 	}
 	return res, nil
-}
-
-// resolve runs the incremental LP, applying the batch path's
-// infeasibility fallback (relax reachable deadline-derived bounds, solve
-// again, restore) when needed.
-func (cs *ClusterState) resolve(sis []int) (*lp.Solution, error) {
-	sol, err := cs.inc.Resolve(cs.opts.Obs)
-	if err != nil {
-		return nil, fmt.Errorf("core: cluster %d relaxation: %w", cs.station, err)
-	}
-	if sol.Status == lp.Optimal {
-		return sol, nil
-	}
-	cs.opts.Obs.Counter("lphta.lp_fallbacks").Inc()
-	cs.opts.Obs.Logger().Warn("lphta lp fallback: relaxing deadline-derived bounds",
-		"station", cs.station,
-		"tasks", len(sis),
-		"status", sol.Status.String())
-	for _, si := range sis {
-		slot := &cs.slots[si]
-		for li, v := range slot.vars {
-			if slot.reach[li] {
-				cs.inc.SetUpper(v, 1)
-			}
-		}
-	}
-	sol, err = cs.inc.Resolve(cs.opts.Obs)
-	// Restore the deadline-derived bounds regardless of the outcome so
-	// later mutations start from the true problem.
-	for _, si := range sis {
-		slot := &cs.slots[si]
-		for li, v := range slot.vars {
-			cs.inc.SetUpper(v, slot.bounds[li])
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: cluster %d relaxation fallback: %w", cs.station, err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: cluster %d relaxation fallback: status %v", cs.station, sol.Status)
-	}
-	return sol, nil
 }

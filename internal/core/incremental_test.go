@@ -23,7 +23,9 @@ func arenaTasks(ts *task.Set) []*task.Task {
 
 // batchCompare runs the batch LPHTA over the given live tasks and asserts
 // the ClusterResults (one per station, keyed by station index) agree with it
-// on every placement and on the merged Theorem 2 quantities.
+// on every placement and on the merged Theorem 2 quantities. When every
+// result comes from a cold solve, which builds P2 exactly as batch does,
+// the simplex iteration counts must agree too.
 func batchCompare(t *testing.T, m *costmodel.Model, live []*task.Task, results map[int]*ClusterResult) {
 	t.Helper()
 	ts, err := task.NewSet(live...)
@@ -35,8 +37,9 @@ func batchCompare(t *testing.T, m *costmodel.Model, live []*task.Task, results m
 		t.Fatal(err)
 	}
 	var obj, rounded, delta units.Energy
-	fractional, preCancelled := 0, 0
+	fractional, preCancelled, iterations := 0, 0, 0
 	placed := 0
+	cold := true
 	for st := 0; st < m.System().NumStations(); st++ {
 		res, ok := results[st]
 		if !ok {
@@ -47,6 +50,8 @@ func batchCompare(t *testing.T, m *costmodel.Model, live []*task.Task, results m
 		delta += res.Delta
 		fractional += res.FractionalTasks
 		preCancelled += res.PreCancelled
+		iterations += res.LPIterations
+		cold = cold && !res.Warm
 		for _, p := range res.Placements {
 			placed++
 			if got := batch.Assignment.Of(p.ID); got != p.Level {
@@ -75,15 +80,29 @@ func batchCompare(t *testing.T, m *costmodel.Model, live []*task.Task, results m
 	if preCancelled != batch.PreCancelled {
 		t.Errorf("PreCancelled = %d, batch %d", preCancelled, batch.PreCancelled)
 	}
+	if cold && iterations != batch.LPIterations {
+		t.Errorf("cold LPIterations = %d, batch %d", iterations, batch.LPIterations)
+	}
 }
 
 func TestClusterStateMatchesBatchOnRandomScenarios(t *testing.T) {
 	// Streaming every task of a generated scenario through per-station
-	// ClusterStates must reproduce the batch LPHTA run exactly.
+	// ClusterStates must reproduce the batch LPHTA run exactly, down to
+	// the simplex iteration count of the first (cold) solve. The
+	// 400-task cluster is large enough that a P2 laid out in arrival
+	// order, rather than batch's row order, pivots differently.
+	type scenario struct {
+		seed   int64
+		params workload.Params
+	}
+	var scenarios []scenario
 	for seed := int64(0); seed < 6; seed++ {
-		sc, err := workload.GenerateHolistic(rng.NewSource(seed), workload.Params{
-			NumDevices: 15, NumStations: 3, NumTasks: 50,
-		})
+		scenarios = append(scenarios, scenario{seed, workload.Params{NumDevices: 15, NumStations: 3, NumTasks: 50}})
+	}
+	scenarios = append(scenarios, scenario{1, workload.Params{NumDevices: 40, NumStations: 1, NumTasks: 400}})
+	for _, scen := range scenarios {
+		seed := scen.seed
+		sc, err := workload.GenerateHolistic(rng.NewSource(seed), scen.params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +198,13 @@ func TestClusterStateMutationsMatchBatch(t *testing.T) {
 	for _, tk := range all[:25] {
 		add(*tk)
 	}
+	if cs.Warm() {
+		t.Error("Warm() before the first solve")
+	}
 	solve(false) // first solve is cold
+	if !cs.Warm() {
+		t.Error("!Warm() after an optimal solve")
+	}
 	for _, tk := range all[25:32] {
 		add(*tk)
 	}
@@ -294,6 +319,9 @@ func TestClusterStateCompaction(t *testing.T) {
 	if reg.Counter("lphta.inc.compactions").Value() == 0 {
 		t.Fatal("expected a compaction after removing most tasks")
 	}
+	if cs.Warm() {
+		t.Error("Warm() right after a compaction")
+	}
 	if got, want := cs.Len(), len(live); got != want {
 		t.Fatalf("Len() = %d, want %d", got, want)
 	}
@@ -339,8 +367,11 @@ func TestClusterStateInfeasibleFallback(t *testing.T) {
 		t.Fatal("scenario did not drive the LP infeasible; constants need retuning")
 	}
 	batchCompare(t, m, tasks, map[int]*ClusterResult{0: res})
-	// A warm re-solve after a mutation must keep matching batch even
-	// though the fallback dropped the warm basis.
+	if cs.Warm() {
+		t.Error("Warm() after a solve that needed the fallback")
+	}
+	// A re-solve after a mutation must keep matching batch even though
+	// the fallback dropped the warm basis.
 	if err := cs.RemoveTask(tasks[1].ID); err != nil {
 		t.Fatal(err)
 	}

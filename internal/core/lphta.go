@@ -6,12 +6,12 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"dsmec/internal/costmodel"
 	"dsmec/internal/lp"
 	"dsmec/internal/mecnet"
 	"dsmec/internal/obs"
+	"dsmec/internal/pool"
 	"dsmec/internal/task"
 	"dsmec/internal/units"
 )
@@ -236,36 +236,12 @@ func LPHTA(m *costmodel.Model, ts *task.Set, options *LPHTAOptions) (*HTAResult,
 	}
 
 	outcomes := make([]*clusterOutcome, len(clusters))
-	errs := make([]error, len(clusters))
-	if workers <= 1 {
-		for ci := range clusters {
-			outcomes[ci], errs[ci] = runCluster(ci)
-			if errs[ci] != nil {
-				return nil, errs[ci]
-			}
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ci := range idx {
-					outcomes[ci], errs[ci] = runCluster(ci)
-				}
-			}()
-		}
-		for ci := range clusters {
-			idx <- ci
-		}
-		close(idx)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	if err := pool.ForEach(len(clusters), workers, func(ci int) error {
+		var err error
+		outcomes[ci], err = runCluster(ci)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 
 	// Merge in station order: the accumulation sequence is exactly the
@@ -319,12 +295,19 @@ func lphtaCluster(m *costmodel.Model, ts *task.Set, station int, tasks []int32, 
 	}
 
 	// Step 1: build and solve the relaxation P2.
-	frac, sol, err := solveClusterLP(sys, station, cts, opts.Obs)
+	p, _ := buildP2(sys, station, cts, opts.Obs)
+	sol, _, err := solveP2(station, cts, opts.Obs,
+		func() (*lp.Solution, error) { return lp.SolveObserved(p, opts.Obs) },
+		func(i, li int) { p.Upper[3*i+li] = 1 })
 	if err != nil {
 		return nil, err
 	}
 	out.lpObjective = units.Energy(sol.Objective)
 	out.lpIterations = sol.Iterations
+	frac := make([][3]float64, len(cts))
+	for i := range cts {
+		frac[i] = [3]float64{sol.X[3*i], sol.X[3*i+1], sol.X[3*i+2]}
+	}
 
 	roundAndRepair(sys, station, cts, frac, opts, out)
 	return out, nil
@@ -491,30 +474,27 @@ func feasibleAnywhere(t *task.Task, o costmodel.Options) bool {
 }
 
 // taskBounds returns the deadline-derived variable upper bound (C1 folded
-// into the relaxed C5 bound) and the reachability flag per subsystem for one
-// evaluated task. Shared by the batch LP build and the incremental solver so
-// both derive identical bounds.
-func taskBounds(t *task.Task, o costmodel.Options) (bounds [3]float64, reach [3]bool) {
+// into the relaxed C5 bound) per subsystem for one evaluated task: 0 for a
+// subsystem that cannot serve it at all. Shared by the P2 build and the
+// incremental mutations so both derive identical bounds.
+func taskBounds(t *task.Task, o costmodel.Options) (bounds [3]float64) {
 	for li, l := range costmodel.Subsystems {
 		c := o.At(l)
 		bound := 1.0
 		if !c.Time.IsFinite() {
 			bound = 0
-		} else {
-			reach[li] = true
-			if c.Time > 0 {
-				// t_ijl·x ≤ T_ij  ⇒  x ≤ T_ij/t_ijl.
-				if b := float64(t.Deadline) / float64(c.Time); b < bound {
-					bound = b
-				}
+		} else if c.Time > 0 {
+			// t_ijl·x ≤ T_ij  ⇒  x ≤ T_ij/t_ijl.
+			if b := float64(t.Deadline) / float64(c.Time); b < bound {
+				bound = b
 			}
 		}
 		bounds[li] = bound
 	}
-	return bounds, reach
+	return bounds
 }
 
-// solveClusterLP builds and solves the relaxation P2 for one cluster:
+// buildP2 builds the relaxation P2 over one cluster's live tasks:
 //
 //	min  Σ E_ijl·x_ijl
 //	s.t. x_ijl ≤ T_ij/t_ijl             (C1, folded into variable bounds)
@@ -523,30 +503,25 @@ func taskBounds(t *task.Task, o costmodel.Options) (bounds [3]float64, reach [3]
 //	     Σ_l x_ijl = 1                  (C4)
 //	     0 ≤ x_ijl ≤ 1                  (relaxed C5)
 //
-// Rows are built in sparse form: a C4 row has 3 nonzeros and a C2 row one
-// nonzero per task on that device, so build memory is linear in the
-// cluster size instead of O(rows × 3n).
-//
-// It returns the fractional assignment per task and the LP solution.
-func solveClusterLP(sys *mecnet.System, station int, cts []clusterTask, ins obs.Instruments) ([][3]float64, *lp.Solution, error) {
+// The layout is fixed: variable 3i+l is task i's subsystem l, rows
+// 0..len(cts)-1 are the C4 rows in task order, then one C2 row per device
+// in ascending device order (the devices are returned), then the C3 row.
+// Batch LPHTA and a cold ClusterState both solve exactly this problem, so
+// they pivot identically. Rows are sparse: a C4 row has 3 nonzeros and a
+// C2 row one nonzero per task on that device, so build memory is linear
+// in the cluster size instead of O(rows × 3n).
+func buildP2(sys *mecnet.System, station int, cts []clusterTask, ins obs.Instruments) (*lp.Problem, []int) {
 	buildTimer := obs.StartTimer()
 	nVars := 3 * len(cts)
 	p := &lp.Problem{
 		Minimize: make([]float64, nVars),
 		Upper:    make([]float64, nVars),
 	}
-
-	// reachable marks variables whose subsystem can serve the task at all;
-	// the infeasibility fallback below may only relax the deadline-derived
-	// bounds, never re-enable an unreachable subsystem.
-	reachable := make([]bool, nVars)
 	for i, ct := range cts {
-		bounds, reach := taskBounds(ct.t, ct.opts)
+		bounds := taskBounds(ct.t, ct.opts)
 		for li, l := range costmodel.Subsystems {
-			v := 3*i + li
-			p.Minimize[v] = float64(ct.opts.At(l).Energy)
-			p.Upper[v] = bounds[li]
-			reachable[v] = reach[li]
+			p.Minimize[3*i+li] = float64(ct.opts.At(l).Energy)
+			p.Upper[3*i+li] = bounds[li]
 		}
 	}
 
@@ -588,45 +563,51 @@ func solveClusterLP(sys *mecnet.System, station int, cts []clusterTask, ins obs.
 	p.Constraints = append(p.Constraints, lp.Sparse(
 		cols, vals, lp.LE, sys.Stations[station].ResourceCap))
 	ins.Histogram("lphta.stage_seconds.build", obs.TimeBuckets).Observe(buildTimer.Seconds())
+	return p, devices
+}
 
+// solveP2 solves one cluster's P2 through solve and applies LP-HTA's
+// fallback. The relaxation can only be infeasible when deadline bounds and
+// caps conflict in ways the pre-cancellation did not remove; the fallback
+// then lifts every deadline-derived bound to 1 (Step 4 repairs the
+// deadlines), calling lift for task i's subsystem li, and solves once
+// more, so every task still gets a fractional placement. Zero bounds
+// stay: they mark subsystems that cannot serve the task at all, and
+// re-enabling them would let the rounding place a task somewhere it can
+// never run. The second result reports whether the fallback ran, which
+// leaves the bounds lifted.
+func solveP2(station int, cts []clusterTask, ins obs.Instruments, solve func() (*lp.Solution, error), lift func(i, li int)) (*lp.Solution, bool, error) {
 	solveTimer := obs.StartTimer()
-	sol, err := lp.SolveObserved(p, ins)
+	defer func() {
+		ins.Histogram("lphta.stage_seconds.solve", obs.TimeBuckets).Observe(solveTimer.Seconds())
+	}()
+	sol, err := solve()
 	if err != nil {
-		return nil, nil, fmt.Errorf("relaxation: %w", err)
+		return nil, false, fmt.Errorf("relaxation: %w", err)
 	}
-	if sol.Status != lp.Optimal {
-		// The relaxation can only be infeasible when deadline bounds and
-		// caps conflict in ways the pre-cancellation did not remove; fall
-		// back to dropping the deadline-derived bounds (Step 4 repairs
-		// them) so every remaining task still gets a fractional placement.
-		// Zero bounds stay: they mark subsystems that cannot serve the
-		// task at all, and re-enabling them would let the rounding place a
-		// task somewhere it can never run.
-		ins.Counter("lphta.lp_fallbacks").Inc()
-		ins.Logger().Warn("lphta lp fallback: relaxing deadline-derived bounds",
-			"station", station,
-			"tasks", len(cts),
-			"status", sol.Status.String())
-		for v := range p.Upper {
-			if reachable[v] {
-				p.Upper[v] = 1
+	if sol.Status == lp.Optimal {
+		return sol, false, nil
+	}
+	ins.Counter("lphta.lp_fallbacks").Inc()
+	ins.Logger().Warn("lphta lp fallback: relaxing deadline-derived bounds",
+		"station", station,
+		"tasks", len(cts),
+		"status", sol.Status.String())
+	for i, ct := range cts {
+		for li, l := range costmodel.Subsystems {
+			if ct.opts.At(l).Time.IsFinite() {
+				lift(i, li)
 			}
 		}
-		sol, err = lp.SolveObserved(p, ins)
-		if err != nil {
-			return nil, nil, fmt.Errorf("relaxation fallback: %w", err)
-		}
-		if sol.Status != lp.Optimal {
-			return nil, nil, fmt.Errorf("relaxation fallback: status %v", sol.Status)
-		}
 	}
-	ins.Histogram("lphta.stage_seconds.solve", obs.TimeBuckets).Observe(solveTimer.Seconds())
-
-	frac := make([][3]float64, len(cts))
-	for i := range cts {
-		frac[i] = [3]float64{sol.X[3*i], sol.X[3*i+1], sol.X[3*i+2]}
+	sol, err = solve()
+	if err != nil {
+		return nil, true, fmt.Errorf("relaxation fallback: %w", err)
 	}
-	return frac, sol, nil
+	if sol.Status != lp.Optimal {
+		return nil, true, fmt.Errorf("relaxation fallback: status %v", sol.Status)
+	}
+	return sol, true, nil
 }
 
 // isIntegral reports whether a fractional task assignment is already 0/1.

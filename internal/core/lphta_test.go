@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dsmec/internal/costmodel"
+	"dsmec/internal/lp"
 	"dsmec/internal/obs"
 	"dsmec/internal/rng"
 	"dsmec/internal/task"
@@ -403,18 +404,25 @@ func TestLPHTAFallbackKeepsUnreachableBounds(t *testing.T) {
 		{t: simpleTask(0, 0, 500*units.Kilobyte, 2, 2*units.Second), opts: opts},
 		{t: simpleTask(0, 1, 500*units.Kilobyte, 2, 2*units.Second), opts: opts},
 	}
-	frac, _, err := solveClusterLP(sys, 0, cts, obs.Instruments{})
+	p, _ := buildP2(sys, 0, cts, obs.Instruments{})
+	sol, lifted, err := solveP2(0, cts, obs.Instruments{},
+		func() (*lp.Solution, error) { return lp.Solve(p) },
+		func(i, li int) { p.Upper[3*i+li] = 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !lifted {
+		t.Fatal("the bounded LP was feasible; the fallback did not run")
+	}
 	for i := range cts {
-		if frac[i][1] != 0 {
+		frac := sol.X[3*i : 3*i+3]
+		if frac[1] != 0 {
 			t.Errorf("task %d: fallback placed fraction %g on the unreachable station",
-				i, frac[i][1])
+				i, frac[1])
 		}
-		if frac[i][0]+frac[i][2] < 1-1e-6 {
+		if frac[0]+frac[2] < 1-1e-6 {
 			t.Errorf("task %d: fractions %v do not sum to 1 over reachable subsystems",
-				i, frac[i])
+				i, frac)
 		}
 	}
 }

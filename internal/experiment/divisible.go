@@ -5,6 +5,7 @@ import (
 
 	"dsmec/internal/compute"
 	"dsmec/internal/core"
+	"dsmec/internal/pool"
 	"dsmec/internal/rng"
 	"dsmec/internal/stats"
 	"dsmec/internal/units"
@@ -35,7 +36,7 @@ type divisibleTrial struct {
 // options' worker pool.
 func runDivisiblePoint(opts Options, params workload.Params) (*divisiblePoint, error) {
 	results := make([]divisibleTrial, opts.Trials)
-	err := forEachIndexed(opts.Trials, opts.workers(), func(trial int) error {
+	err := pool.ForEach(opts.Trials, opts.workers(), func(trial int) error {
 		src := rng.NewSource(opts.Seed).
 			Derive(fmt.Sprintf("divisible-%d-%d-%v", params.NumTasks, trial, params.MaxInput))
 		sc, err := workload.GenerateDivisible(src, params)

@@ -1,13 +1,12 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"strconv"
-	"sync"
 
+	"dsmec/internal/pool"
 	"dsmec/internal/texttable"
 )
 
@@ -41,48 +40,12 @@ func (o Options) workers() int {
 	return o.Parallelism
 }
 
-// forEachIndexed runs fn for indices 0..n-1 over a bounded pool of
-// workers; workers <= 1 runs inline. Every index runs even after a
-// failure, and the joined error lists failures in index order.
-func forEachIndexed(n, workers int, fn func(i int) error) error {
-	if workers <= 1 || n <= 1 {
-		var errs []error
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		return errors.Join(errs...)
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // collectIndexed runs fn for indices 0..n-1 over a bounded pool and
 // returns the results in index order, so downstream aggregation (and its
 // floating-point accumulation sequence) is independent of scheduling.
 func collectIndexed[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := forEachIndexed(n, workers, func(i int) error {
+	err := pool.ForEach(n, workers, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

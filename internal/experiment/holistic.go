@@ -5,6 +5,7 @@ import (
 
 	"dsmec/internal/baseline"
 	"dsmec/internal/core"
+	"dsmec/internal/pool"
 	"dsmec/internal/radio"
 	"dsmec/internal/rng"
 	"dsmec/internal/stats"
@@ -37,7 +38,7 @@ type trialMetrics struct {
 // options' worker pool; aggregation stays in trial order either way.
 func runHolisticPoint(opts Options, params workload.Params, methods []string) (map[string]*holisticPoint, error) {
 	results := make([]map[string]trialMetrics, opts.Trials)
-	err := forEachIndexed(opts.Trials, opts.workers(), func(trial int) error {
+	err := pool.ForEach(opts.Trials, opts.workers(), func(trial int) error {
 		src := rng.NewSource(opts.Seed).Derive(fmt.Sprintf("holistic-%d-%d", params.NumTasks, trial)).
 			Derive(params.MaxInput.String())
 		sc, err := workload.GenerateHolistic(src, params)

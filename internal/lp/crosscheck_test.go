@@ -251,7 +251,7 @@ func TestCrossCheckClusterLPs(t *testing.T) {
 		}
 	}
 
-	// Pin some station and cloud columns at zero, as solveClusterLP does
+	// Pin some station and cloud columns at zero, as core's buildP2 does
 	// for subsystems that can never serve a task. The revised simplex
 	// skips such columns in pricing while the dense oracle still prices
 	// them, so the two take different pivot paths; they must still agree

@@ -245,8 +245,10 @@ func (inc *Incremental) SetRHS(i int, rhs float64) {
 // Resolve solves the current problem, warm when the previous solve left
 // a reusable optimal basis and cold otherwise. Warm solves are
 // cross-checkable: they produce the same status and (within 1e-9) the
-// same objective as a cold solve of Problem(). Metrics
-// and a trace span are recorded into ins.
+// same objective as a cold solve of Problem(). A cold solve is exactly
+// SolveObserved's, pivot for pivot. Every solve publishes the lp.*
+// series through the same record as SolveObserved, and the lp.resolve*
+// series and an lp.resolve span on top, into ins.
 func (inc *Incremental) Resolve(ins obs.Instruments) (*Solution, error) {
 	span := ins.Span.Child("lp.resolve")
 	defer span.End()
@@ -255,74 +257,41 @@ func (inc *Incremental) Resolve(ins obs.Instruments) (*Solution, error) {
 	timer := obs.StartTimer()
 
 	if inc.solverLive() {
-		sol, err := inc.warmResolve(ins, span)
-		if err == nil {
+		if sol, err := inc.warmResolve(ins, span); err == nil {
 			reg.Counter("lp.resolves.warm").Inc()
-			inc.recordResolve(span, reg, sol, timer.Seconds())
+			record(ins, span, inc.Problem(), sol, nil)
+			recordResolve(span, reg, sol, timer.Seconds())
 			return sol, nil
 		}
-		if !errors.Is(err, errWarmFallback) {
-			inc.dropSolver()
-			return nil, err
-		}
-		reg.Counter("lp.resolves.cold_fallback").Inc()
+		// warmResolve fails only with errWarmFallback.
 		inc.dropSolver()
+		reg.Counter("lp.resolves.cold_fallback").Inc()
 	} else {
 		reg.Counter("lp.resolves.cold").Inc()
 	}
 
-	sol, err := inc.coldSolve(ins, span)
+	sol, s, err := solveCold(inc.Problem(), ins.WithSpan(span))
 	if err != nil {
 		return nil, err
 	}
-	inc.recordResolve(span, reg, sol, timer.Seconds())
+	if sol.Status == Optimal {
+		inc.s = s
+		inc.varCol = inc.varCol[:0]
+		for v := range inc.minimize {
+			inc.varCol = append(inc.varCol, v)
+		}
+	}
+	recordResolve(span, reg, sol, timer.Seconds())
 	return sol, nil
 }
 
-// recordResolve publishes one resolve's outcome.
-func (inc *Incremental) recordResolve(span *obs.Span, reg *obs.Registry, sol *Solution, seconds float64) {
-	reg.Counter("lp.pivots").Add(int64(sol.Stats.Pivots))
-	reg.Counter("lp.dual_pivots").Add(int64(sol.Stats.DualPivots))
-	reg.Counter("lp.bound_flips").Add(int64(sol.Stats.BoundFlips))
+// recordResolve publishes the lp.resolve* series of one resolve; record
+// has already published the solve itself.
+func recordResolve(span *obs.Span, reg *obs.Registry, sol *Solution, seconds float64) {
 	reg.Histogram("lp.resolve_seconds", obs.TimeBuckets).Observe(seconds)
 	reg.Histogram("lp.resolve_pivots", obs.CountBuckets).Observe(float64(sol.Stats.Pivots))
-	if span != nil {
-		span.Annotate("warm", sol.Warm)
-		span.Annotate("status", sol.Status.String())
-		span.Annotate("vars", inc.NumVars())
-		span.Annotate("constraints", inc.NumRows())
-		span.Annotate("pivots", sol.Stats.Pivots)
-		span.Annotate("dual_pivots", sol.Stats.DualPivots)
-	}
-}
-
-// coldSolve rebuilds solver state from the mirror problem and runs the
-// ordinary two-phase solve, retaining the end state for future warm
-// starts when it ends Optimal.
-func (inc *Incremental) coldSolve(ins obs.Instruments, span *obs.Span) (*Solution, error) {
-	p := inc.Problem()
-	log := ins.Logger()
-	s := newRevised(p)
-	s.log = log
-	if err := s.factor(); err != nil {
-		inc.dropSolver()
-		return nil, err
-	}
-	sol, err := s.solveFull(inc.minimize, span, log)
-	if err != nil {
-		inc.dropSolver()
-		return nil, err
-	}
-	if sol.Status != Optimal {
-		inc.dropSolver()
-		return sol, nil
-	}
-	inc.s = s
-	inc.varCol = inc.varCol[:0]
-	for v := range inc.minimize {
-		inc.varCol = append(inc.varCol, v)
-	}
-	return sol, nil
+	span.Annotate("warm", sol.Warm)
+	span.Annotate("dual_pivots", sol.Stats.DualPivots)
 }
 
 // warmResolve re-solves from the previous optimal basis: refresh the LU

@@ -1,7 +1,9 @@
 package lp_test
 
 import (
+	"maps"
 	"math"
+	"strings"
 	"testing"
 
 	"dsmec/internal/lp"
@@ -37,6 +39,18 @@ func checkResolve(t *testing.T, inc *lp.Incremental) (got, cold *lp.Solution) {
 	checkFeasiblePoint(t, "incremental", inc.Problem(), got.X)
 	checkFeasiblePoint(t, "cold", inc.Problem(), cold.X)
 	return got, cold
+}
+
+// solveCounters returns reg's lp.* counters other than the lp.resolve*
+// series only Incremental publishes.
+func solveCounters(reg *obs.Registry) map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "lp.") && !strings.HasPrefix(name, "lp.resolve") {
+			out[name] = v
+		}
+	}
+	return out
 }
 
 func TestIncrementalColdMatchesSolve(t *testing.T) {
@@ -85,10 +99,29 @@ func TestIncrementalColdMatchesSolve(t *testing.T) {
 				{Coeffs: []float64{1, 0, 1}, Sense: lp.GE, RHS: 0},
 			},
 		}},
+		{"cluster LP", perfbench.ClusterLP(60, true)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// A cold Resolve is SolveObserved's solve: it publishes the
+			// same lp.* series, apart from its own lp.resolve* ones.
+			solveReg, resolveReg := obs.NewRegistry(), obs.NewRegistry()
+			if _, err := lp.SolveObserved(tc.p, obs.Instruments{Metrics: solveReg}); err != nil {
+				t.Fatalf("SolveObserved: %v", err)
+			}
 			inc, err := lp.NewIncremental(tc.p)
+			if err != nil {
+				t.Fatalf("NewIncremental: %v", err)
+			}
+			if _, err := inc.Resolve(obs.Instruments{Metrics: resolveReg}); err != nil {
+				t.Fatalf("Resolve: %v", err)
+			}
+			cold, solved := solveCounters(resolveReg), solveCounters(solveReg)
+			if len(solved) == 0 || !maps.Equal(cold, solved) {
+				t.Fatalf("cold Resolve counters %v, SolveObserved %v", cold, solved)
+			}
+
+			inc, err = lp.NewIncremental(tc.p)
 			if err != nil {
 				t.Fatalf("NewIncremental: %v", err)
 			}

@@ -235,15 +235,12 @@ func SolveObserved(p *Problem, ins obs.Instruments) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	span := ins.Span.Child("lp.solve")
-	sol, err := solveRevised(p, span, ins.Logger())
-	record(ins, span, p, sol, err)
-	span.End()
+	sol, _, err := solveCold(p, ins)
 	return sol, err
 }
 
-// record publishes one solve's outcome. The counter lookups cost a few
-// nanoseconds each against a disabled (nil) registry.
+// record publishes one solve's outcome, cold or warm. The counter lookups
+// cost a few nanoseconds each against a disabled (nil) registry.
 func record(ins obs.Instruments, span *obs.Span, p *Problem, sol *Solution, err error) {
 	reg := ins.Registry()
 	log := ins.Logger()

@@ -507,30 +507,36 @@ func (s *rsimplex) run(maxCol int) error {
 	return ErrIterationLimit
 }
 
-// solveRevised runs the two phases on the factorized basis and extracts
-// the solution, mirroring the dense tableau oracle's solve. One structural
-// difference: where the dense path drives leftover artificials out of the
-// basis and retires redundant rows, the revised path pins every
-// artificial at zero by clamping its upper bound — the basis must stay
-// square and nonsingular, and a unit artificial column fixed at 0 holds a
-// redundant row's place without ever affecting feasibility (any pivot
-// that would move it hits a zero-length ratio step and evicts it
-// instead).
-func solveRevised(p *Problem, span *obs.Span, log *obs.Logger) (*Solution, error) {
+// solveCold lowers p, runs the two phases on the factorized basis under
+// an lp.solve span, and publishes the outcome through record. It is the
+// only cold solve: SolveObserved returns its solution, and Incremental
+// also keeps the returned end state as the basis for warm re-solves.
+//
+// Where the dense tableau oracle in the tests drives leftover
+// artificials out of the basis and retires redundant rows, the revised
+// path pins every artificial at zero by clamping its upper bound — the
+// basis must stay square and nonsingular, and a unit artificial column
+// fixed at 0 holds a redundant row's place without ever affecting
+// feasibility (any pivot that would move it hits a zero-length ratio step
+// and evicts it instead).
+func solveCold(p *Problem, ins obs.Instruments) (*Solution, *rsimplex, error) {
+	span := ins.Span.Child("lp.solve")
+	defer span.End()
 	s := newRevised(p)
-	s.log = log
-	if err := s.factor(); err != nil {
-		return nil, err
+	s.log = ins.Logger()
+	err := s.factor()
+	var sol *Solution
+	if err == nil {
+		sol, err = s.solveFull(p.Minimize, span)
 	}
-	return s.solveFull(p.Minimize, span, log)
+	record(ins, span, p, sol, err)
+	return sol, s, err
 }
 
 // solveFull runs both phases on a freshly factorized solver and extracts
-// the solution. Incremental solves reuse it for the initial (cold) solve
-// and after any fallback rebuild, then keep the end state for
-// warm-started re-solves.
-func (s *rsimplex) solveFull(minimize []float64, span *obs.Span, log *obs.Logger) (*Solution, error) {
-	artStart := s.artStart
+// the solution.
+func (s *rsimplex) solveFull(minimize []float64, span *obs.Span) (*Solution, error) {
+	artStart, log := s.artStart, s.log
 
 	if s.nArt > 0 {
 		p1Span := span.Child("lp.phase1")

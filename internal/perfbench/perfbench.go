@@ -14,11 +14,11 @@ import (
 )
 
 // clusterShape fixes how ClusterLP spreads tasks over devices: the C2 row
-// density matches what solveClusterLP builds for a generated cluster.
+// density matches what core's buildP2 builds for a generated cluster.
 const devicesPerCluster = 10
 
 // ClusterLP builds the LP relaxation P2 of one LP-HTA cluster with the
-// given task count, shaped exactly like internal/core's solveClusterLP
+// given task count, shaped exactly like internal/core's buildP2
 // output: 3 variables per task, one C4 equality row per task, one C2 row
 // per device, and a C3 station row. sparse selects the index/value row
 // form; dense materializes every row as a full 3n vector. Coefficients are
