@@ -5,16 +5,17 @@
 # checks — see docs/LINTING.md), staticcheck when fetchable, a mecstat
 # smoke over its committed fixtures, a mecd service smoke that boots
 # the daemon on a loopback port and drives one arrival/assign/departure
-# cycle through the live HTTP API, and the benchmark harness self-tests.
+# cycle through the live HTTP API, a short fuzz of the scenario decoder,
+# and the benchmark harness self-tests.
 
 GO ?= go
 
 # Pinned so CI and local runs agree; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: verify build test vet fmt-check race bench bench-go bench-smoke bench-obs lint staticcheck doc-check link-check mecstat-smoke mecd-smoke workload-checks bench-selftest
+.PHONY: verify build test vet fmt-check race bench bench-go bench-smoke bench-obs lint staticcheck doc-check link-check mecstat-smoke mecd-smoke workload-checks bench-selftest fuzz-smoke
 
-verify: fmt-check vet build race bench-smoke lint staticcheck mecstat-smoke mecd-smoke workload-checks bench-selftest
+verify: fmt-check vet build race bench-smoke lint staticcheck mecstat-smoke mecd-smoke workload-checks fuzz-smoke bench-selftest
 
 # The full go vet analyzer set, spelled out so the suite only changes
 # when this list does — a toolchain upgrade cannot silently drop a check.
@@ -108,6 +109,12 @@ mecstat-smoke:
 # (see docs/SERVICE.md). -selfcheck picks a random loopback port.
 mecd-smoke:
 	$(GO) run ./cmd/mecd -selfcheck -preload 25 -log-level off > /dev/null
+
+# Five seconds of coverage-guided fuzzing of the scenario decoder, seeded
+# with its golden documents (internal/scenarioio/fuzz_test.go). Inputs
+# that failed before stay under testdata/fuzz/ and run in every `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/scenarioio/
 
 # The benchmark harness (benchmark/, see BENCHMARK.json) is its own module,
 # outside `go build ./...`; its self-tests are what catch a core or lp API

@@ -221,7 +221,7 @@ func runSelfcheck(srv *server, m *costmodel.Model, stdout io.Writer) error {
 
 	// A task that cannot collide with any preload and is trivially
 	// feasible on its home device.
-	probe := taskDoc{
+	probe := scenarioio.TaskDoc{
 		User:      0,
 		Index:     1 << 20,
 		OpBytes:   100e3,

@@ -13,6 +13,7 @@ import (
 	"dsmec/internal/core"
 	"dsmec/internal/obs"
 	"dsmec/internal/rng"
+	"dsmec/internal/scenarioio"
 	"dsmec/internal/task"
 	"dsmec/internal/workload"
 )
@@ -47,7 +48,7 @@ func testServer(t *testing.T, sc *workload.Scenario, workers int) (*httptest.Ser
 // postTask streams one task through POST /v1/tasks and asserts acceptance.
 func postTask(t *testing.T, base string, tk *task.Task) {
 	t.Helper()
-	body, err := json.Marshal(docFromTask(tk))
+	body, err := json.Marshal(scenarioio.TaskToDoc(tk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestDeviceLeaveAndRejoin(t *testing.T) {
 	// New arrivals from the departed device are refused with 410.
 	probe := *sc.Tasks.At(0)
 	probe.ID.Index = 1 << 20
-	body, _ := json.Marshal(docFromTask(&probe))
+	body, _ := json.Marshal(scenarioio.TaskToDoc(&probe))
 	post, err := http.Post(hs.URL+"/v1/tasks", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -344,6 +345,10 @@ func TestBadRequests(t *testing.T) {
 		{"invalid task", `{"user":0,"index":1,"op_bytes":-5,"resource":1,"deadline_s":1}`, http.StatusBadRequest},
 		{"unknown device", `{"user":999,"index":1,"op_bytes":1000,"resource":1,"deadline_s":1}`, http.StatusNotFound},
 		{"unknown source", `{"user":0,"index":1,"op_bytes":1000,"external_bytes":500,"external_source":999,"resource":1,"deadline_s":1}`, http.StatusBadRequest},
+		{"divisible kind", `{"user":0,"index":1,"kind":"divisible","op_bytes":1000,"resource":1,"deadline_s":1}`, http.StatusBadRequest},
+		{"unknown kind", `{"user":0,"index":1,"kind":"divisble","op_bytes":1000,"resource":1,"deadline_s":1}`, http.StatusBadRequest},
+		// The benchmark client's body: no kind, which means holistic.
+		{"no kind", `{"user":0,"index":1048576,"op_bytes":1000,"local_bytes":0,"external_bytes":0,"resource":1,"deadline_s":1}`, http.StatusAccepted},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(hs.URL+"/v1/tasks", "application/json", strings.NewReader(tc.body))
@@ -354,6 +359,28 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
+	}
+	// A task element cut verbatim from a scenario document is accepted.
+	var doc bytes.Buffer
+	if err := scenarioio.Encode(&doc, sc); err != nil {
+		t.Fatal(err)
+	}
+	var elems struct {
+		Tasks []json.RawMessage `json:"tasks"`
+	}
+	if err := json.Unmarshal(doc.Bytes(), &elems); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(elems.Tasks[1], []byte(`"kind": "holistic"`)) {
+		t.Fatalf("scenario task element lacks its kind: %s", elems.Tasks[1])
+	}
+	resp, err := http.Post(hs.URL+"/v1/tasks", "application/json", bytes.NewReader(elems.Tasks[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("scenario task element: status %d, want %d", resp.StatusCode, http.StatusAccepted)
 	}
 	// Bodies over the cap are refused whole, on both document routes,
 	// even when a valid document follows the padding.
@@ -373,8 +400,8 @@ func TestBadRequests(t *testing.T) {
 	}
 	// Duplicate arrival conflicts.
 	postTask(t, hs.URL, sc.Tasks.At(0))
-	body, _ := json.Marshal(docFromTask(sc.Tasks.At(0)))
-	resp, err := http.Post(hs.URL+"/v1/tasks", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(scenarioio.TaskToDoc(sc.Tasks.At(0)))
+	resp, err = http.Post(hs.URL+"/v1/tasks", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

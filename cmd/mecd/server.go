@@ -13,8 +13,8 @@ import (
 	"dsmec/internal/costmodel"
 	"dsmec/internal/obs"
 	"dsmec/internal/pool"
+	"dsmec/internal/scenarioio"
 	"dsmec/internal/task"
-	"dsmec/internal/units"
 )
 
 // server is the online assignment service: per-station shards of warm
@@ -191,53 +191,6 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// taskDoc mirrors the scenarioio task encoding, so tasks can be lifted
-// from a scenario file straight into POST /v1/tasks.
-type taskDoc struct {
-	User           int     `json:"user"`
-	Index          int     `json:"index"`
-	OpBytes        int64   `json:"op_bytes"`
-	LocalBytes     int64   `json:"local_bytes"`
-	ExternalBytes  int64   `json:"external_bytes"`
-	ExternalSource *int    `json:"external_source,omitempty"`
-	Resource       float64 `json:"resource"`
-	DeadlineS      float64 `json:"deadline_s"`
-}
-
-func (td *taskDoc) toTask() task.Task {
-	t := task.Task{
-		ID:             task.ID{User: td.User, Index: td.Index},
-		Kind:           task.Holistic,
-		OpSize:         units.ByteSize(td.OpBytes),
-		LocalSize:      units.ByteSize(td.LocalBytes),
-		ExternalSize:   units.ByteSize(td.ExternalBytes),
-		ExternalSource: task.NoExternalSource,
-		Resource:       td.Resource,
-		Deadline:       units.Duration(td.DeadlineS),
-	}
-	if td.ExternalSource != nil {
-		t.ExternalSource = *td.ExternalSource
-	}
-	return t
-}
-
-func docFromTask(t *task.Task) taskDoc {
-	td := taskDoc{
-		User:          t.ID.User,
-		Index:         t.ID.Index,
-		OpBytes:       t.OpSize.Bytes(),
-		LocalBytes:    t.LocalSize.Bytes(),
-		ExternalBytes: t.ExternalSize.Bytes(),
-		Resource:      t.Resource,
-		DeadlineS:     t.Deadline.Seconds(),
-	}
-	if t.HasExternal() {
-		src := t.ExternalSource
-		td.ExternalSource = &src
-	}
-	return td
-}
-
 // stationOf resolves a device's station, distinguishing "unknown device"
 // from "departed device". It returns -1 and writes the error response when
 // the task cannot be admitted.
@@ -264,11 +217,21 @@ type arrivalDoc struct {
 }
 
 func (s *server) handleTaskArrival(w http.ResponseWriter, r *http.Request) {
-	var td taskDoc
+	// The body is a scenario document's task element, so a task can be
+	// lifted from a scenario file verbatim.
+	var td scenarioio.TaskDoc
 	if !decodeBody(w, r, "task", &td) {
 		return
 	}
-	t := td.toTask()
+	t, err := scenarioio.TaskFromDoc(&td)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad task document: %v", err)
+		return
+	}
+	if t.Kind != task.Holistic {
+		writeError(w, http.StatusBadRequest, "task %v: kind %v, want holistic", t.ID, t.Kind)
+		return
+	}
 	if err := t.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -285,7 +248,7 @@ func (s *server) handleTaskArrival(w http.ResponseWriter, r *http.Request) {
 	}
 	sh := s.shards[st]
 	sh.mu.Lock()
-	err := sh.cs.AddTask(t)
+	err = sh.cs.AddTask(*t)
 	if err == nil {
 		sh.dirty = true
 	}

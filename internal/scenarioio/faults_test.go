@@ -122,40 +122,36 @@ func TestPlainDecodeIgnoresFaults(t *testing.T) {
 func TestDecodeWithFaultsErrors(t *testing.T) {
 	sc := faultScenario(t)
 
-	encodeWith := func(t *testing.T, mutate func(*Document)) string {
+	encodeWith := func(t *testing.T, mutate func(faults map[string]any)) string {
 		t.Helper()
 		var buf bytes.Buffer
 		fp := &sim.FaultPlan{StationOutages: []sim.StationOutage{{Station: 0, At: 1, Repair: 1}}}
 		if err := EncodeWithFaults(&buf, sc, fp); err != nil {
 			t.Fatal(err)
 		}
-		var doc Document
-		if err := decodeInto(buf.String(), &doc); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&doc)
-		var out bytes.Buffer
-		if err := encodeDoc(&out, doc); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
+		return mutateDocument(t, buf.Bytes(), func(doc map[string]any) {
+			mutate(doc["faults"].(map[string]any))
+		})
+	}
+	outage := func(f map[string]any) map[string]any {
+		return f["station_outages"].([]any)[0].(map[string]any)
 	}
 
 	cases := []struct {
 		name   string
-		mutate func(*Document)
+		mutate func(map[string]any)
 	}{
-		{"unknown link", func(d *Document) {
-			d.Faults.LinkDegradations = []degradationDoc{{Station: 0, Link: "carrier-pigeon", AtS: 0, DurationS: 1, Slowdown: 2}}
+		{"unknown link", func(f map[string]any) {
+			f["link_degradations"] = []degradationDoc{{Station: 0, Link: "carrier-pigeon", AtS: 0, DurationS: 1, Slowdown: 2}}
 		}},
-		{"station out of range", func(d *Document) {
-			d.Faults.StationOutages[0].Station = 99
+		{"station out of range", func(f map[string]any) {
+			outage(f)["station"] = 99
 		}},
-		{"device out of range", func(d *Document) {
-			d.Faults.DeviceDepartures = []departureDoc{{Device: -2, AtS: 0}}
+		{"device out of range", func(f map[string]any) {
+			f["device_departures"] = []departureDoc{{Device: -2, AtS: 0}}
 		}},
-		{"negative repair", func(d *Document) {
-			d.Faults.StationOutages[0].RepairS = -1
+		{"negative repair", func(f map[string]any) {
+			outage(f)["repair_s"] = -1
 		}},
 	}
 	for _, tc := range cases {

@@ -12,7 +12,7 @@ import (
 // largeDecodeBudget pins the bytes allocated per streaming decode of the
 // 100k-device document below. Measured at ~153 MB/op on the recording
 // box (the resident scenario — task arena, ID index, topology, cost
-// model — dominates); the legacy whole-document decoder costs ~498
+// model — dominates); the whole-document decoder it replaced cost ~498
 // MB/op on the same input. The budget leaves ~25% headroom for
 // toolchain drift while still catching any return to whole-document
 // materialization, which re-adds hundreds of MB.

@@ -1,7 +1,6 @@
 package scenarioio
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -19,22 +18,9 @@ import (
 // FormatVersion identifies the document schema.
 const FormatVersion = 1
 
-// Document is the on-disk form of a scenario.
-type Document struct {
-	Version   int           `json:"version"`
-	System    systemDoc     `json:"system"`
-	Cost      costDoc       `json:"cost_model"`
-	Tasks     []taskDoc     `json:"tasks"`
-	Placement *placementDoc `json:"placement,omitempty"`
-	Faults    *faultsDoc    `json:"faults,omitempty"`
-}
-
-type systemDoc struct {
-	Devices  []deviceDoc  `json:"devices"`
-	Stations []stationDoc `json:"stations"`
-	CloudGHz float64      `json:"cloud_ghz"`
-	Wires    wiresDoc     `json:"wires"`
-}
+// The element types of a document. Its top-level layout (version,
+// system, cost_model, tasks, placement, faults) is written by
+// encodeStream and walked by decodeStream in stream.go.
 
 type deviceDoc struct {
 	Station     int     `json:"station"`
@@ -70,7 +56,10 @@ type costDoc struct {
 	ResultValue   float64 `json:"result_value"`
 }
 
-type taskDoc struct {
+// TaskDoc is the JSON form of one task: an element of a scenario
+// document's "tasks" array, and the body of mecd's POST /v1/tasks. An
+// absent or empty kind means holistic.
+type TaskDoc struct {
 	User           int     `json:"user"`
 	Index          int     `json:"index"`
 	Kind           string  `json:"kind"`
@@ -90,8 +79,8 @@ type placementDoc struct {
 	Holdings   [][]int `json:"holdings"`
 }
 
-// Per-element converters shared by the streaming and whole-document
-// paths, so the two produce identical scenarios by construction.
+// Per-element converters between the model types and their document
+// form.
 
 func deviceToDoc(d *mecnet.Device) deviceDoc {
 	return deviceDoc{
@@ -107,11 +96,15 @@ func deviceToDoc(d *mecnet.Device) deviceDoc {
 	}
 }
 
-func deviceFromDoc(d *deviceDoc) mecnet.Device {
+func deviceFromDoc(d *deviceDoc) (mecnet.Device, error) {
+	tech, err := techFromString(d.Tech)
+	if err != nil {
+		return mecnet.Device{}, err
+	}
 	return mecnet.Device{
 		Station: d.Station,
 		Link: radio.Link{
-			Tech:     techFromString(d.Tech),
+			Tech:     tech,
 			Upload:   units.BitRate(d.UploadMbps) * units.MbitPerSecond,
 			Download: units.BitRate(d.DownMbps) * units.MbitPerSecond,
 			TxPower:  units.Power(d.TxPowerW),
@@ -122,7 +115,7 @@ func deviceFromDoc(d *deviceDoc) mecnet.Device {
 			Kappa:     d.Kappa,
 		},
 		ResourceCap: d.ResourceCap,
-	}
+	}, nil
 }
 
 func stationToDoc(s *mecnet.Station) stationDoc {
@@ -192,8 +185,9 @@ func resultModelFromDoc(c *costDoc) (compute.ResultModel, error) {
 	}
 }
 
-func taskToDoc(t *task.Task) taskDoc {
-	td := taskDoc{
+// TaskToDoc converts a task to its document form.
+func TaskToDoc(t *task.Task) TaskDoc {
+	td := TaskDoc{
 		User:          t.ID.User,
 		Index:         t.ID.Index,
 		Kind:          t.Kind.String(),
@@ -216,10 +210,17 @@ func taskToDoc(t *task.Task) taskDoc {
 	return td
 }
 
-func taskFromDoc(td *taskDoc) *task.Task {
+// TaskFromDoc rebuilds the task a document element describes. It
+// rejects an unknown kind; the task's own invariants are left to
+// task.Task.Validate.
+func TaskFromDoc(td *TaskDoc) (*task.Task, error) {
+	kind, err := kindFromString(td.Kind)
+	if err != nil {
+		return nil, err
+	}
 	t := &task.Task{
 		ID:             task.ID{User: td.User, Index: td.Index},
-		Kind:           kindFromString(td.Kind),
+		Kind:           kind,
 		OpSize:         units.ByteSize(td.OpBytes),
 		LocalSize:      units.ByteSize(td.LocalBytes),
 		ExternalSize:   units.ByteSize(td.ExternalBytes),
@@ -242,7 +243,7 @@ func taskFromDoc(td *taskDoc) *task.Task {
 			t.ExternalBlocks.Add(datamap.BlockID(b))
 		}
 	}
-	return t
+	return t, nil
 }
 
 func placementRow(p *datamap.Placement, dev int) ([]int, error) {
@@ -310,54 +311,6 @@ func Encode(w io.Writer, sc *workload.Scenario) error {
 	return encodeStream(w, sc, nil)
 }
 
-// encodeDocument is the legacy whole-document encoder. The streaming
-// encoder must produce byte-identical output; the regression tests pin
-// the two against each other.
-func encodeDocument(w io.Writer, sc *workload.Scenario, faults *faultsDoc) error {
-	if sc == nil || sc.System == nil || sc.Tasks == nil {
-		return fmt.Errorf("scenarioio: incomplete scenario")
-	}
-	doc := Document{Version: FormatVersion, Faults: faults}
-
-	doc.System.CloudGHz = sc.System.Cloud.Proc.Frequency.GHz()
-	doc.System.Wires = wiresToDoc(sc.System)
-	for i := range sc.System.Devices {
-		doc.System.Devices = append(doc.System.Devices, deviceToDoc(&sc.System.Devices[i]))
-	}
-	for i := range sc.System.Stations {
-		doc.System.Stations = append(doc.System.Stations, stationToDoc(&sc.System.Stations[i]))
-	}
-
-	var err error
-	doc.Cost, err = costToDoc(sc.Params)
-	if err != nil {
-		return err
-	}
-
-	for i := 0; i < sc.Tasks.Len(); i++ {
-		doc.Tasks = append(doc.Tasks, taskToDoc(sc.Tasks.At(i)))
-	}
-
-	if sc.Placement != nil {
-		pd := &placementDoc{
-			NumBlocks:  sc.Placement.NumBlocks(),
-			BlockBytes: sc.Placement.BlockSize().Bytes(),
-		}
-		for i := 0; i < sc.Placement.NumDevices(); i++ {
-			row, err := placementRow(sc.Placement, i)
-			if err != nil {
-				return err
-			}
-			pd.Holdings = append(pd.Holdings, row)
-		}
-		doc.Placement = pd
-	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
 // Decode reads a scenario document and rebuilds a fully validated
 // scenario, streaming the task array into the set's arena instead of
 // materializing the whole document. Any fault plan in the document is
@@ -367,72 +320,26 @@ func Decode(r io.Reader) (*workload.Scenario, error) {
 	return sc, err
 }
 
-// decodeDocument is the legacy whole-document decoder, kept as the
-// reference implementation the streaming decoder is regression-tested
-// against.
-func decodeDocument(r io.Reader) (*workload.Scenario, *Document, error) {
-	var doc Document
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, nil, fmt.Errorf("scenarioio: %w", err)
-	}
-	if doc.Version != FormatVersion {
-		return nil, nil, fmt.Errorf("scenarioio: unsupported version %d (want %d)", doc.Version, FormatVersion)
-	}
-
-	sys := &mecnet.System{
-		Cloud: mecnet.Cloud{Proc: compute.Processor{
-			Frequency: units.Frequency(doc.System.CloudGHz) * units.Gigahertz,
-		}},
-	}
-	wiresFromDoc(&doc.System.Wires, sys)
-	for i := range doc.System.Devices {
-		sys.Devices = append(sys.Devices, deviceFromDoc(&doc.System.Devices[i]))
-	}
-	for i := range doc.System.Stations {
-		sys.Stations = append(sys.Stations, stationFromDoc(&doc.System.Stations[i]))
-	}
-
-	ts := &task.Set{}
-	ts.Grow(len(doc.Tasks))
-	for i := range doc.Tasks {
-		if err := ts.Add(taskFromDoc(&doc.Tasks[i])); err != nil {
-			return nil, nil, fmt.Errorf("scenarioio: task %d: %w", i, err)
-		}
-	}
-
-	sc, err := assemble(sys, &doc.Cost, ts, doc.Placement)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sc, &doc, nil
-}
-
-func techFromString(s string) radio.Tech {
+func techFromString(s string) (radio.Tech, error) {
 	switch s {
 	case "4G":
-		return radio.Tech4G
+		return radio.Tech4G, nil
 	case "Wi-Fi":
-		return radio.TechWiFi
+		return radio.TechWiFi, nil
+	case "custom":
+		return radio.TechCustom, nil
 	default:
-		return radio.TechCustom
+		return 0, fmt.Errorf("unknown tech %q", s)
 	}
 }
 
-func kindFromString(s string) task.Kind {
+func kindFromString(s string) (task.Kind, error) {
 	switch s {
+	case "holistic", "":
+		return task.Holistic, nil
 	case "divisible":
-		return task.Divisible
+		return task.Divisible, nil
 	default:
-		return task.Holistic
+		return 0, fmt.Errorf("unknown kind %q", s)
 	}
-}
-
-// jsonUnmarshal and jsonMarshalTo expose raw-document (de)serialization
-// for tests that need to corrupt documents between Encode and Decode.
-func jsonUnmarshal(data []byte, doc *Document) error { return json.Unmarshal(data, doc) }
-
-func jsonMarshalTo(w io.Writer, doc Document) error {
-	return json.NewEncoder(w).Encode(doc)
 }

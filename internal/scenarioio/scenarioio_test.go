@@ -2,13 +2,16 @@ package scenarioio
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
 	"dsmec/internal/compute"
 	"dsmec/internal/core"
+	"dsmec/internal/radio"
 	"dsmec/internal/rng"
+	"dsmec/internal/task"
 	"dsmec/internal/units"
 	"dsmec/internal/workload"
 )
@@ -169,24 +172,66 @@ func TestRoundTripConstantResultModel(t *testing.T) {
 	}
 }
 
+// enumDoc is a minimal valid document with one device and one task
+// whose tech and kind spellings the caller chooses; kind is the whole
+// "kind" member with its trailing comma, or empty to leave it out.
+func enumDoc(tech, kind string) string {
+	return `{"version":1,"system":{"devices":[{"station":0,"upload_mbps":1,"download_mbps":1,"tx_power_w":1,"rx_power_w":1,"tech":"` + tech + `","freq_ghz":1,"kappa":0,"resource_cap":1}],"stations":[{"freq_ghz":4,"resource_cap":1}],"cloud_ghz":2.4,"wires":{"station_latency_s":0,"station_bandwidth_bps":1,"station_joule_per_byte":0,"cloud_latency_s":0,"cloud_bandwidth_bps":1,"cloud_joule_per_byte":0}},"cost_model":{"cycles_per_byte":330,"result_kind":"proportional","result_value":0.2},"tasks":[{"user":0,"index":0,` + kind + `"op_bytes":1000,"local_bytes":0,"external_bytes":0,"resource":1,"deadline_s":1}]}`
+}
+
 func TestDecodeErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		body string
+		// want, when set, is a substring the error must contain.
+		want string
 	}{
-		{"empty", ""},
-		{"not json", "nope"},
-		{"wrong version", `{"version": 99}`},
-		{"unknown field", `{"version": 1, "bogus": true}`},
-		{"bad result kind", `{"version":1,"system":{"devices":[{"station":0,"upload_mbps":1,"download_mbps":1,"tx_power_w":1,"rx_power_w":1,"tech":"4G","freq_ghz":1,"kappa":0,"resource_cap":1}],"stations":[{"freq_ghz":4,"resource_cap":1}],"cloud_ghz":2.4,"wires":{"station_latency_s":0,"station_bandwidth_bps":0,"station_joule_per_byte":0,"cloud_latency_s":0,"cloud_bandwidth_bps":0,"cloud_joule_per_byte":0}},"cost_model":{"cycles_per_byte":330,"result_kind":"cubic","result_value":1},"tasks":[]}`},
-		{"invalid system", `{"version":1,"system":{"devices":[],"stations":[],"cloud_ghz":0,"wires":{"station_latency_s":0,"station_bandwidth_bps":0,"station_joule_per_byte":0,"cloud_latency_s":0,"cloud_bandwidth_bps":0,"cloud_joule_per_byte":0}},"cost_model":{"cycles_per_byte":330,"result_kind":"proportional","result_value":0.2},"tasks":[]}`},
+		{"empty", "", ""},
+		{"not json", "nope", ""},
+		{"wrong version", `{"version": 99}`, ""},
+		{"unknown field", `{"version": 1, "bogus": true}`, ""},
+		{"bad result kind", `{"version":1,"system":{"devices":[{"station":0,"upload_mbps":1,"download_mbps":1,"tx_power_w":1,"rx_power_w":1,"tech":"4G","freq_ghz":1,"kappa":0,"resource_cap":1}],"stations":[{"freq_ghz":4,"resource_cap":1}],"cloud_ghz":2.4,"wires":{"station_latency_s":0,"station_bandwidth_bps":0,"station_joule_per_byte":0,"cloud_latency_s":0,"cloud_bandwidth_bps":0,"cloud_joule_per_byte":0}},"cost_model":{"cycles_per_byte":330,"result_kind":"cubic","result_value":1},"tasks":[]}`, ""},
+		{"invalid system", `{"version":1,"system":{"devices":[],"stations":[],"cloud_ghz":0,"wires":{"station_latency_s":0,"station_bandwidth_bps":0,"station_joule_per_byte":0,"cloud_latency_s":0,"cloud_bandwidth_bps":0,"cloud_joule_per_byte":0}},"cost_model":{"cycles_per_byte":330,"result_kind":"proportional","result_value":0.2},"tasks":[]}`, ""},
+		{"unknown kind", enumDoc("4G", `"kind":"divisble",`), `task 0: unknown kind "divisble"`},
+		{"unknown tech", enumDoc("5G", ""), `device 0: unknown tech "5G"`},
+		{"empty tech", enumDoc("", ""), `device 0: unknown tech ""`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Decode(strings.NewReader(tt.body)); err == nil {
-				t.Error("Decode should fail")
+			_, err := Decode(strings.NewReader(tt.body))
+			if err == nil {
+				t.Fatal("Decode should fail")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("Decode error %q does not contain %q", err, tt.want)
 			}
 		})
+	}
+}
+
+// TestDecodeEnumSpellings: every tech the encoder writes decodes back to
+// itself, and an absent or empty kind means holistic.
+func TestDecodeEnumSpellings(t *testing.T) {
+	for _, tc := range []struct {
+		tech, kind string
+		wantTech   radio.Tech
+		wantKind   task.Kind
+	}{
+		{"4G", "", radio.Tech4G, task.Holistic},
+		{"Wi-Fi", `"kind":"",`, radio.TechWiFi, task.Holistic},
+		{"custom", `"kind":"holistic",`, radio.TechCustom, task.Holistic},
+		{"4G", `"kind":"divisible",`, radio.Tech4G, task.Divisible},
+	} {
+		sc, err := Decode(strings.NewReader(enumDoc(tc.tech, tc.kind)))
+		if err != nil {
+			t.Fatalf("tech %q kind %q: %v", tc.tech, tc.kind, err)
+		}
+		if got := sc.System.Devices[0].Link.Tech; got != tc.wantTech {
+			t.Errorf("tech %q decoded as %v", tc.tech, got)
+		}
+		if got := sc.Tasks.At(0).Kind; got != tc.wantKind {
+			t.Errorf("kind %q decoded as %v", tc.kind, got)
+		}
 	}
 }
 
@@ -212,26 +257,32 @@ func TestDecodePlacementMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt: drop one holding row.
-	s := buf.String()
-	var doc Document
-	if err := decodeInto(s, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc.Placement.Holdings = doc.Placement.Holdings[:len(doc.Placement.Holdings)-1]
-	var buf2 bytes.Buffer
-	if err := encodeDoc(&buf2, doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(&buf2); err == nil {
+	body := mutateDocument(t, buf.Bytes(), func(doc map[string]any) {
+		pl := doc["placement"].(map[string]any)
+		rows := pl["holdings"].([]any)
+		pl["holdings"] = rows[:len(rows)-1]
+	})
+	if _, err := Decode(strings.NewReader(body)); err == nil {
 		t.Error("holding/device mismatch should fail")
 	}
 }
 
-// decodeInto / encodeDoc are raw-document helpers for corruption tests.
-func decodeInto(s string, doc *Document) error {
-	return jsonUnmarshal([]byte(s), doc)
-}
-
-func encodeDoc(w *bytes.Buffer, doc Document) error {
-	return jsonMarshalTo(w, doc)
+// mutateDocument decodes an encoded scenario into generic JSON values,
+// applies mutate and re-encodes it, for tests that corrupt documents
+// between Encode and Decode. Numbers stay json.Number, so untouched
+// values keep their exact text.
+func mutateDocument(t *testing.T, data []byte, mutate func(doc map[string]any)) string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	mutate(doc)
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

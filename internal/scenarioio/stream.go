@@ -16,10 +16,10 @@ import (
 
 // The streaming encoder/decoder below handle scenario documents one
 // array element at a time, so a 10M-task document never exists in
-// memory as a []taskDoc or as one giant byte slice. Output is required
-// to be byte-identical to the legacy whole-document path
-// (json.Encoder with SetIndent("", "  ")); TestStreamEncodeMatchesDocument
-// pins this.
+// memory as a []TaskDoc or as one giant byte slice. The output is what
+// json.Encoder with SetIndent("", "  ") would write for the whole
+// document; the golden documents in testdata/ pin it byte for byte
+// (TestStreamEncodeMatchesDocument).
 
 const indentUnit = "  "
 
@@ -62,8 +62,7 @@ func (e *streamEncoder) value(v any, prefix string) {
 
 // array streams n elements produced by elem. prefix is the indentation
 // of the line holding the array's key; elements are indented one level
-// deeper. n == 0 emits null, matching how the legacy encoder marshals
-// a nil slice built by append.
+// deeper. n == 0 emits null, as encoding/json marshals a nil slice.
 func (e *streamEncoder) array(prefix string, n int, elem func(int) (any, error)) {
 	if e.err != nil {
 		return
@@ -123,7 +122,7 @@ func encodeStream(w io.Writer, sc *workload.Scenario, faults *faultsDoc) error {
 	e.value(cost, "  ")
 	e.raw(",\n  \"tasks\": ")
 	e.array("  ", sc.Tasks.Len(), func(i int) (any, error) {
-		return taskToDoc(sc.Tasks.At(i)), nil
+		return TaskToDoc(sc.Tasks.At(i)), nil
 	})
 	if sc.Placement != nil {
 		e.raw(",\n  \"placement\": {\n    \"num_blocks\": ")
@@ -212,7 +211,11 @@ func decodeSystemStream(dec *json.Decoder) (*mecnet.System, error) {
 				if err := dec.Decode(&dd); err != nil {
 					return fmt.Errorf("scenarioio: device %d: %w", len(sys.Devices), err)
 				}
-				sys.Devices = append(sys.Devices, deviceFromDoc(&dd))
+				d, err := deviceFromDoc(&dd)
+				if err != nil {
+					return fmt.Errorf("scenarioio: device %d: %w", len(sys.Devices), err)
+				}
+				sys.Devices = append(sys.Devices, d)
 				return nil
 			})
 		case "stations":
@@ -298,13 +301,17 @@ func decodeStream(r io.Reader) (*workload.Scenario, *faultsDoc, error) {
 				err = fmt.Errorf("scenarioio: cost_model: %w", err)
 			}
 		case "tasks":
-			var td taskDoc
+			var td TaskDoc
 			err = decodeArray(dec, "tasks", func() error {
-				td = taskDoc{}
+				td = TaskDoc{}
 				if err := dec.Decode(&td); err != nil {
 					return fmt.Errorf("scenarioio: task %d: %w", ts.Len(), err)
 				}
-				if err := ts.Add(taskFromDoc(&td)); err != nil {
+				t, err := TaskFromDoc(&td)
+				if err != nil {
+					return fmt.Errorf("scenarioio: task %d: %w", ts.Len(), err)
+				}
+				if err := ts.Add(t); err != nil {
 					return fmt.Errorf("scenarioio: task %d: %w", ts.Len(), err)
 				}
 				return nil

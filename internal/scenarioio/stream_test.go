@@ -3,6 +3,10 @@ package scenarioio
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dsmec/internal/rng"
@@ -50,21 +54,32 @@ func streamScenarios(t *testing.T) map[string]struct {
 	}
 }
 
+// goldenDocument reads the committed document of one streamScenarios
+// case. The goldens were written by json.Encoder with SetIndent("", "  ")
+// over the whole document, so they pin the streaming encoder to that
+// layout.
+func goldenDocument(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestStreamEncodeMatchesDocument pins the streaming encoder to the
-// legacy whole-document encoder byte for byte: downstream hashes of
-// scenario files must not change because of how they were written.
+// golden documents byte for byte: downstream hashes of scenario files
+// must not change because of how they were written.
 func TestStreamEncodeMatchesDocument(t *testing.T) {
 	for name, tc := range streamScenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			var legacy, stream bytes.Buffer
-			if err := encodeDocument(&legacy, tc.sc, faultsToDoc(tc.fp)); err != nil {
-				t.Fatalf("encodeDocument: %v", err)
-			}
+			want := goldenDocument(t, name)
+			var stream bytes.Buffer
 			if err := encodeStream(&stream, tc.sc, faultsToDoc(tc.fp)); err != nil {
 				t.Fatalf("encodeStream: %v", err)
 			}
-			if !bytes.Equal(legacy.Bytes(), stream.Bytes()) {
-				a, b := legacy.Bytes(), stream.Bytes()
+			if !bytes.Equal(want, stream.Bytes()) {
+				a, b := want, stream.Bytes()
 				n := len(a)
 				if len(b) < n {
 					n = len(b)
@@ -87,7 +102,7 @@ func TestStreamEncodeMatchesDocument(t *testing.T) {
 				if hiB > len(b) {
 					hiB = len(b)
 				}
-				t.Fatalf("stream output diverges from document output at byte %d:\nlegacy: %q\nstream: %q",
+				t.Fatalf("stream output diverges from the golden document at byte %d:\ngolden: %q\nstream: %q",
 					at, a[lo:hiA], b[lo:hiB])
 			}
 		})
@@ -95,109 +110,82 @@ func TestStreamEncodeMatchesDocument(t *testing.T) {
 }
 
 // TestStreamDecodeMatchesDocument pins the streaming decoder to the
-// legacy whole-document decoder: both must rebuild the same scenario
-// and the same fault plan from the same bytes.
+// golden documents: decoding one must rebuild the scenario and the fault
+// plan it was written from.
 func TestStreamDecodeMatchesDocument(t *testing.T) {
 	for name, tc := range streamScenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := EncodeWithFaults(&buf, tc.sc, tc.fp); err != nil {
-				t.Fatal(err)
-			}
-			data := buf.Bytes()
-
-			legacySc, legacyDoc, err := decodeDocument(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("decodeDocument: %v", err)
-			}
-			streamSc, streamFd, err := decodeStream(bytes.NewReader(data))
+			got, gotFd, err := decodeStream(bytes.NewReader(goldenDocument(t, name)))
 			if err != nil {
 				t.Fatalf("decodeStream: %v", err)
 			}
+			want := tc.sc
 
-			if legacySc.System.NumDevices() != streamSc.System.NumDevices() ||
-				legacySc.System.NumStations() != streamSc.System.NumStations() {
-				t.Fatal("topology differs between decoders")
+			if got.System.NumDevices() != want.System.NumDevices() ||
+				got.System.NumStations() != want.System.NumStations() {
+				t.Fatal("topology differs from the golden's source")
 			}
-			for i := range legacySc.System.Devices {
-				if legacySc.System.Devices[i] != streamSc.System.Devices[i] {
-					t.Fatalf("device %d differs between decoders", i)
+			for i := range want.System.Devices {
+				if got.System.Devices[i] != want.System.Devices[i] {
+					t.Fatalf("device %d differs from the golden's source", i)
 				}
 			}
-			for i := range legacySc.System.Stations {
-				if legacySc.System.Stations[i] != streamSc.System.Stations[i] {
-					t.Fatalf("station %d differs between decoders", i)
+			for i := range want.System.Stations {
+				if got.System.Stations[i] != want.System.Stations[i] {
+					t.Fatalf("station %d differs from the golden's source", i)
 				}
 			}
-			if legacySc.System.Cloud != streamSc.System.Cloud ||
-				legacySc.System.StationWire != streamSc.System.StationWire ||
-				legacySc.System.CloudWire != streamSc.System.CloudWire {
-				t.Fatal("cloud/wires differ between decoders")
+			if got.System.Cloud != want.System.Cloud ||
+				got.System.StationWire != want.System.StationWire ||
+				got.System.CloudWire != want.System.CloudWire {
+				t.Fatal("cloud/wires differ from the golden's source")
 			}
 
-			if legacySc.Tasks.Len() != streamSc.Tasks.Len() {
-				t.Fatal("task count differs between decoders")
+			if got.Tasks.Len() != want.Tasks.Len() {
+				t.Fatal("task count differs from the golden's source")
 			}
-			for i := 0; i < legacySc.Tasks.Len(); i++ {
-				a, b := legacySc.Tasks.At(i), streamSc.Tasks.At(i)
+			for i := 0; i < want.Tasks.Len(); i++ {
+				a, b := want.Tasks.At(i), got.Tasks.At(i)
 				if a.ID != b.ID || a.Kind != b.Kind || a.OpSize != b.OpSize ||
 					a.LocalSize != b.LocalSize || a.ExternalSize != b.ExternalSize ||
 					a.ExternalSource != b.ExternalSource || a.Resource != b.Resource ||
 					a.Deadline != b.Deadline {
-					t.Fatalf("task %d differs between decoders: %+v vs %+v", i, a, b)
+					t.Fatalf("task %d differs from the golden's source: %+v vs %+v", i, a, b)
 				}
 				if !a.LocalBlocks.Equal(b.LocalBlocks) || !a.ExternalBlocks.Equal(b.ExternalBlocks) {
-					t.Fatalf("task %d block sets differ between decoders", i)
+					t.Fatalf("task %d block sets differ from the golden's source", i)
 				}
 			}
 
-			if (legacySc.Placement == nil) != (streamSc.Placement == nil) {
-				t.Fatal("placement presence differs between decoders")
+			if (want.Placement == nil) != (got.Placement == nil) {
+				t.Fatal("placement presence differs from the golden's source")
 			}
-			if legacySc.Placement != nil {
-				if legacySc.Placement.NumBlocks() != streamSc.Placement.NumBlocks() ||
-					legacySc.Placement.BlockSize() != streamSc.Placement.BlockSize() {
-					t.Fatal("placement dimensions differ between decoders")
+			if want.Placement != nil {
+				if want.Placement.NumBlocks() != got.Placement.NumBlocks() ||
+					want.Placement.BlockSize() != got.Placement.BlockSize() {
+					t.Fatal("placement dimensions differ from the golden's source")
 				}
-				for d := 0; d < legacySc.Placement.NumDevices(); d++ {
-					a, err := legacySc.Placement.Holding(d)
+				for d := 0; d < want.Placement.NumDevices(); d++ {
+					a, err := want.Placement.Holding(d)
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := streamSc.Placement.Holding(d)
+					b, err := got.Placement.Holding(d)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !a.Equal(b) {
-						t.Fatalf("device %d holding differs between decoders", d)
+						t.Fatalf("device %d holding differs from the golden's source", d)
 					}
 				}
 			}
 
-			legacyFp, err := faultsFromDoc(legacyDoc.Faults)
+			gotFp, err := faultsFromDoc(gotFd)
 			if err != nil {
 				t.Fatal(err)
 			}
-			streamFp, err := faultsFromDoc(streamFd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (legacyFp == nil) != (streamFp == nil) {
-				t.Fatal("fault plan presence differs between decoders")
-			}
-			if legacyFp != nil {
-				if len(legacyFp.StationOutages) != len(streamFp.StationOutages) ||
-					len(legacyFp.DeviceDepartures) != len(streamFp.DeviceDepartures) ||
-					len(legacyFp.LinkDegradations) != len(streamFp.LinkDegradations) ||
-					legacyFp.TransferTimeout != streamFp.TransferTimeout ||
-					legacyFp.Recovery != streamFp.Recovery {
-					t.Fatal("fault plans differ between decoders")
-				}
-				for i := range legacyFp.StationOutages {
-					if legacyFp.StationOutages[i] != streamFp.StationOutages[i] {
-						t.Fatalf("outage %d differs between decoders", i)
-					}
-				}
+			if !reflect.DeepEqual(gotFp, tc.fp) {
+				t.Fatal("fault plan differs from the golden's source")
 			}
 		})
 	}
@@ -205,7 +193,7 @@ func TestStreamDecodeMatchesDocument(t *testing.T) {
 
 // TestStreamDecodeFieldOrder checks the token-walking decoder accepts
 // documents whose top-level keys arrive in any order (JSON objects are
-// unordered; the legacy decoder never cared).
+// unordered).
 func TestStreamDecodeFieldOrder(t *testing.T) {
 	sc, err := workload.GenerateHolistic(rng.NewSource(15), workload.Params{
 		NumDevices: 4, NumStations: 1, NumTasks: 8,
@@ -217,19 +205,21 @@ func TestStreamDecodeFieldOrder(t *testing.T) {
 	if err := Encode(&buf, sc); err != nil {
 		t.Fatal(err)
 	}
-	var doc Document
-	if err := jsonUnmarshal(buf.Bytes(), &doc); err != nil {
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
 	// Re-emit with tasks before system and version last.
 	var out bytes.Buffer
-	out.WriteString("{\"tasks\":")
-	writeJSON(t, &out, doc.Tasks)
-	out.WriteString(",\"cost_model\":")
-	writeJSON(t, &out, doc.Cost)
-	out.WriteString(",\"system\":")
-	writeJSON(t, &out, doc.System)
-	out.WriteString(",\"version\":1}")
+	for i, key := range []string{"tasks", "cost_model", "system", "version"} {
+		if i == 0 {
+			out.WriteString("{")
+		} else {
+			out.WriteString(",")
+		}
+		fmt.Fprintf(&out, "%q:%s", key, doc[key])
+	}
+	out.WriteString("}")
 
 	got, err := Decode(&out)
 	if err != nil {
@@ -240,11 +230,23 @@ func TestStreamDecodeFieldOrder(t *testing.T) {
 	}
 }
 
-func writeJSON(t *testing.T, buf *bytes.Buffer, v any) {
-	t.Helper()
-	data, err := json.Marshal(v)
+// TestPinnedDocumentRoundTrip decodes a document written by an earlier
+// build and re-encodes it byte for byte, so documents already on disk
+// keep their exact text.
+func TestPinnedDocumentRoundTrip(t *testing.T) {
+	want, err := os.ReadFile(pinnedDocument)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Write(data)
+	sc, fp, err := DecodeWithFaults(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := EncodeWithFaults(&got, sc, fp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("re-encoded %s differs: %d bytes, want %d", pinnedDocument, got.Len(), len(want))
+	}
 }

@@ -376,7 +376,7 @@ type degWindow struct {
 type faultRunner struct {
 	plan        *FaultPlan
 	policy      RecoveryPolicy
-	replanner   *core.Replanner
+	replans     int // replan queries made
 	stationDown []bool
 	deviceGone  []bool
 	names       []string      // per resource index: label for log lines
@@ -390,11 +390,10 @@ type faultRunner struct {
 // newFaultRunner wires the plan into the engine: classifies resources,
 // installs degradation windows, and schedules every topology transition
 // as an engine event.
-func newFaultRunner(eng *engine, plan *FaultPlan, sys *mecnet.System, m *costmodel.Model, res planResources) *faultRunner {
+func newFaultRunner(eng *engine, plan *FaultPlan, sys *mecnet.System, res planResources) *faultRunner {
 	fr := &faultRunner{
 		plan:        plan,
 		policy:      plan.Recovery.withDefaults(),
-		replanner:   core.NewReplanner(m),
 		stationDown: make([]bool, sys.NumStations()),
 		deviceGone:  make([]bool, sys.NumDevices()),
 		names:       make([]string, len(eng.resources)),
@@ -427,7 +426,6 @@ func newFaultRunner(eng *engine, plan *FaultPlan, sys *mecnet.System, m *costmod
 			eng.scheduleAction(w.from, func(at units.Duration) {
 				fr.stats.StationOutages++
 				fr.stationDown[station] = true
-				fr.replanner.MarkStation(station)
 				fr.record(at, "station.down", fmt.Sprintf("station=%d until=%.6fs", station, up.Seconds()))
 				for _, ri := range group {
 					eng.outage(ri, at, fmt.Sprintf("station %d outage", station))
@@ -452,7 +450,6 @@ func newFaultRunner(eng *engine, plan *FaultPlan, sys *mecnet.System, m *costmod
 			}
 			fr.stats.DeviceDepartures++
 			fr.deviceGone[dep.Device] = true
-			fr.replanner.MarkDevice(dep.Device)
 			fr.record(at, "device.leave", fmt.Sprintf("device=%d", dep.Device))
 			for _, ri := range group {
 				eng.outage(ri, at, fmt.Sprintf("device %d departed", dep.Device))
@@ -641,9 +638,8 @@ func (a *attempt) fail(pi int32, at units.Duration, reason string) {
 		}
 	} else if !fr.policy.NoReassign && !a.reassigned {
 		deviceUp, stationUp := fr.survivorView()
-		// The replanner serves tasks in never-hit clusters from its cached
-		// fault-free answer and computes the exact degraded plan otherwise.
-		l, err := fr.replanner.Replan(a.t, core.Survivors{
+		fr.replans++
+		l, err := core.ReplanOnSurvivors(a.m, a.t, core.Survivors{
 			DeviceUp: deviceUp, StationUp: stationUp, CloudUp: true,
 		})
 		if err == nil && l != costmodel.SubsystemNone {
@@ -675,8 +671,7 @@ func (fr *faultRunner) recordMetrics(ins obs.Instruments) {
 	ins.Counter("sim.attempts_failed").Add(int64(fr.stats.FailedAttempts))
 	ins.Counter("sim.retries").Add(int64(fr.stats.Retries))
 	ins.Counter("sim.reassignments").Add(int64(fr.stats.Reassignments))
-	ins.Counter("sim.replans.cached").Add(int64(fr.replanner.Cached))
-	ins.Counter("sim.replans.exact").Add(int64(fr.replanner.Exact))
+	ins.Counter("sim.replans").Add(int64(fr.replans))
 	ins.Counter("sim.tasks_lost").Add(int64(fr.stats.Lost))
 	ins.Counter("sim.deadline_misses.fault").Add(int64(fr.stats.FaultMisses))
 	ins.Counter("sim.deadline_misses.capacity").Add(int64(fr.stats.CapacityMisses))

@@ -197,7 +197,7 @@ func RunReleases(m *costmodel.Model, ts *task.Set, a *core.Assignment, cfg Confi
 		if err := cfg.Faults.Validate(sys); err != nil {
 			return nil, err
 		}
-		fr = newFaultRunner(eng, cfg.Faults, sys, m, pools)
+		fr = newFaultRunner(eng, cfg.Faults, sys, pools)
 	}
 
 	// Under fault injection, energyOf holds each task's analytic energy
